@@ -20,9 +20,10 @@ from .presentation import (ComponentDecomposition, InvalidPresentationError,
 from .reidemeister import (R1Insert, R1Remove, R2Insert, R2Remove, R3Slide,
                            reidemeister_perturb, sites)
 from .render import RenderSpec, render, render_ascii, render_svg
-from .search import (CensusEntry, IndexSearchResult, RefutationReport,
-                     SearchConstraints, SearchLimitExceeded, census, census_text,
-                     enumerate_presentations, refute_t33_at_9, three_page_index)
+from .search import (CensusEntry, IndexSearchResult, InvalidSearchLimit,
+                     RefutationReport, SearchConstraints, SearchLimitExceeded,
+                     census, census_text, enumerate_presentations,
+                     refute_t33_at_9, three_page_index)
 from .torus import (HOPF, UNKNOT_TRIANGLE, BoundsReport, TorusParams, bounds,
                     closure_profile, matches_torus_link, tnn, tpq, tpq_tight)
 

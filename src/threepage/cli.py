@@ -26,8 +26,8 @@ from .presentation import (InvalidPresentationError, ParseError,
                            ThreePagePresentation, components, detect_split_pair,
                            parse, validate)
 from .render import RenderSpec, render
-from .search import (SearchLimitExceeded, census, census_text,
-                     refute_t33_at_9, three_page_index)
+from .search import (InvalidSearchLimit, SearchLimitExceeded, census,
+                     census_text, refute_t33_at_9, three_page_index)
 from .torus import TorusParams, bounds, closure_profile, tnn, tpq, tpq_tight
 
 USAGE_ERROR = 2
@@ -62,6 +62,12 @@ def _read_presentations(path: str) -> list[ThreePagePresentation]:
 
 def _read_one(path: str) -> ThreePagePresentation:
     return _read_presentations(path)[0]
+
+
+def _check_max_n(args: argparse.Namespace) -> None:
+    if args.max_n is not None and args.max_n < 1:
+        raise CliError(f"--max-n must be a positive integer, got {args.max_n}",
+                       USAGE_ERROR)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -162,6 +168,10 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    _check_max_n(args)
+    if args.n_max < 3:
+        raise CliError(f"--n-max must be at least 3, the smallest arc count of "
+                       f"a presentation, got {args.n_max}", USAGE_ERROR)
     if args.target_braid is not None:
         if args.strands is None:
             raise CliError("--target-braid requires --strands", USAGE_ERROR)
@@ -179,6 +189,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    _check_max_n(args)
     entries = census(args.n, max_n=args.max_n)
     text = census_text(entries)
     if args.out:
@@ -318,6 +329,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except InvalidSearchLimit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (InvalidPresentationError, SearchLimitExceeded, CrossingLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR

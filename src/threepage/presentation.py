@@ -356,42 +356,64 @@ def detect_split_pair(p: ThreePagePresentation) -> Optional[tuple[PlacedArc, Pla
 # -- canonical form ----------------------------------------------------------
 
 
+def flip_page(n: int, arcs: tuple[Arc, ...]) -> tuple[Arc, ...]:
+    """Sorted arcs of one page after reversing the points, i -> n + 1 - i."""
+    return tuple(sorted((n + 1 - j, n + 1 - i) for i, j in arcs))
+
+
+PageTriple = tuple[tuple[Arc, ...], tuple[Arc, ...], tuple[Arc, ...]]
+
+
+def orbit_images(pages: PageTriple, flipped: PageTriple) -> tuple[PageTriple, ...]:
+    """The six images of a page triple under page rotation and point reversal.
+
+    ``flipped`` holds ``flip_page`` of each page.  The first image is
+    ``pages`` itself, the next two rotate the pages, and the last three
+    reverse the points together with the cyclic page order, which is a rigid
+    rotation of the open book (orientation-preserving).  Swapping exactly
+    two pages is a reflection and may mirror the link, so it is deliberately
+    not part of this group.
+    """
+    m1, m2, m3 = pages
+    f1, f2, f3 = flipped
+    return ((m1, m2, m3), (m2, m3, m1), (m3, m1, m2),
+            (f3, f2, f1), (f2, f1, f3), (f1, f3, f2))
+
+
+def _images(p: ThreePagePresentation) -> tuple[PageTriple, ...]:
+    pages = tuple(pg.arcs for pg in p.pages)
+    return orbit_images(pages, tuple(flip_page(p.n, a) for a in pages))  # type: ignore[arg-type]
+
+
+def from_page_arcs(n: int, pages: PageTriple) -> ThreePagePresentation:
+    """Presentation from three sorted arc tuples, with no further checks."""
+    return ThreePagePresentation(n, tuple(PageMatching(a) for a in pages))  # type: ignore[arg-type]
+
+
 def rotate_pages(p: ThreePagePresentation, k: int) -> ThreePagePresentation:
-    k %= 3
-    pg = p.pages
-    return ThreePagePresentation(p.n, (pg[k % 3], pg[(k + 1) % 3], pg[(k + 2) % 3]))
+    """Rotate the cyclic page order so that page k + 1 comes first."""
+    return from_page_arcs(p.n, _images(p)[k % 3])
 
 
 def reverse_points(p: ThreePagePresentation) -> ThreePagePresentation:
-    """Reverse the point order together with the cyclic page order.
-
-    This is a rigid rotation of the open book (orientation-preserving), so
-    it never mirrors the presented link.
-    """
-    def flip(pg: PageMatching) -> PageMatching:
-        return PageMatching.of((p.n + 1 - j, p.n + 1 - i) for i, j in pg)
-    p1, p2, p3 = p.pages
-    return ThreePagePresentation(p.n, (flip(p3), flip(p2), flip(p1)))
+    """Reverse the point order together with the cyclic page order."""
+    return from_page_arcs(p.n, _images(p)[3])
 
 
 def symmetry_orbit(p: ThreePagePresentation) -> Iterator[ThreePagePresentation]:
-    """The six images of p under page rotation and point reversal.
-
-    Swapping exactly two pages is a reflection and may mirror the link, so
-    it is deliberately not part of this group.
-    """
-    for q in (p, reverse_points(p)):
-        for k in range(3):
-            yield rotate_pages(q, k)
+    """The six images of p, in the order of ``orbit_images``."""
+    for pages in _images(p):
+        yield from_page_arcs(p.n, pages)
 
 
 def canonicalize(p: ThreePagePresentation) -> ThreePagePresentation:
     """Lexicographically smallest member of the order-6 symmetry orbit."""
-    return min(symmetry_orbit(p), key=ThreePagePresentation.sort_key)
+    return from_page_arcs(p.n, min(_images(p)))
 
 
 def is_canonical(p: ThreePagePresentation) -> bool:
-    return canonicalize(p).sort_key() == p.sort_key()
+    images = _images(p)
+    return min(images) == images[0]
 
 
 # -- surgeries used by tests and the census -----------------------------------

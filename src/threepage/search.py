@@ -1,9 +1,17 @@
 """Exhaustive enumeration of canonical presentations, census and index search.
 
-The enumeration fixes page 1, then page 2; the degree-two constraint then
-forces the endpoint set of page 3, leaving only its non-crossing perfect
-matchings to enumerate.  Streams are deterministic and contain exactly one
-representative per orbit of the order-6 symmetry group.
+The enumeration is orderly generation in the sense of Read and Faradzev
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  It
+fixes page 1, then page 2; the degree-two constraint then forces the
+endpoint set of page 3, leaving only its non-crossing perfect matchings to
+enumerate.  A canonical page triple is lexicographically no larger than any
+of its six images under the order-6 symmetry group, so page 1 must not
+exceed its own point-reversed copy, nor page 2 or its reversed copy.
+Prefixes that fail these tests are cut before page 3 is enumerated, and the
+full orbit comparison runs on int tuples.  Streams are deterministic and
+contain exactly one representative per orbit; pruning only skips
+candidates, so the emission order is that of the plain generate-and-filter
+pass.
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .invariants import InvariantProfile, equal_up_to_mirror, profile
-from .presentation import (Arc, ThreePagePresentation, components,
-                           is_canonical, validate)
+from .presentation import (Arc, ThreePagePresentation, flip_page,
+                           from_page_arcs, orbit_images)
 
 DEFAULT_MAX_N = 10
 ENV_MAX_N = "THREEPAGE_MAX_N"
@@ -24,11 +32,25 @@ class SearchLimitExceeded(ValueError):
     """Point count beyond the configured search limit."""
 
 
+class InvalidSearchLimit(ValueError):
+    """A search limit that is not a positive integer."""
+
+
 def search_limit(override: Optional[int] = None) -> int:
     if override is not None:
+        if override < 1:
+            raise InvalidSearchLimit(f"max_n must be a positive integer, got {override}")
         return override
     env = os.environ.get(ENV_MAX_N)
-    return int(env) if env else DEFAULT_MAX_N
+    if not env:
+        return DEFAULT_MAX_N
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise InvalidSearchLimit(f"{ENV_MAX_N} must be a positive integer, got {env!r}")
+    return limit
 
 
 def _check_n(n: int, max_n: Optional[int]) -> None:
@@ -77,8 +99,8 @@ def noncrossing_matchings(points: Sequence[int],
         yield from noncrossing_matchings(rest, must_cover)
     for k, other in enumerate(rest):
         inside, outside = rest[:k], rest[k + 1:]
-        for m_in in noncrossing_matchings(inside, must_cover & frozenset(inside)):
-            for m_out in noncrossing_matchings(outside, must_cover & frozenset(outside)):
+        for m_in in noncrossing_matchings(inside, must_cover):
+            for m_out in noncrossing_matchings(outside, must_cover):
                 yield ((first, other),) + m_in + m_out
 
 
@@ -97,50 +119,85 @@ def noncrossing_perfect_matchings(points: Sequence[int]) -> Iterator[tuple[Arc, 
                 yield ((first, points[k]),) + m_in + m_out
 
 
+def _component_sizes(pages: Sequence[tuple[Arc, ...]]) -> list[int]:
+    """Arc count of each link component of a valid presentation.
+
+    Every point meets two arcs, so a component has as many arcs as points.
+    The walk leaves each point by the neighbour it did not come from; only a
+    two-arc component has equal neighbours, and it closes either way.
+    """
+    neighbours: dict[int, list[int]] = {}
+    for page in pages:
+        for i, j in page:
+            neighbours.setdefault(i, []).append(j)
+            neighbours.setdefault(j, []).append(i)
+    sizes = []
+    while neighbours:
+        start, (point, _) = neighbours.popitem()
+        previous, size = start, 1
+        while point != start:
+            a, b = neighbours.pop(point)
+            previous, point = point, (b if a == previous else a)
+            size += 1
+        sizes.append(size)
+    return sizes
+
+
 def enumerate_presentations(c: SearchConstraints,
                             max_n: Optional[int] = None,
                             ) -> Iterator[ThreePagePresentation]:
     """Canonical valid presentations on c.n points satisfying c, exactly one
-    per symmetry orbit, in deterministic order."""
+    per symmetry orbit, in deterministic order.
+
+    Every candidate is valid by construction: each page is a non-crossing
+    matching, page 2 covers every point page 1 leaves free, and page 3 is a
+    perfect matching of the points that still meet one arc.  The page-size
+    bounds leave page 3 with at least ``min_arcs_per_page`` arcs.
+    """
     _check_n(c.n, max_n)
     n = c.n
     points = tuple(range(1, n + 1))
     min_page = c.min_arcs_per_page or 1
+    check_components = c.required_components is not None or c.min_arcs_per_component
+    # page 3 is fixed by its point set, so each set is matched only once
+    page3_options: dict[tuple[int, ...], list] = {}
     for m1 in noncrossing_matchings(points):
         if not min_page <= len(m1) <= n - 2 * min_page:
+            continue
+        f1 = flip_page(n, m1)
+        if f1 < m1:
             continue
         used1 = {pt for a in m1 for pt in a}
         for m2 in noncrossing_matchings(points, frozenset(points) - frozenset(used1)):
             if not min_page <= len(m2) <= n - len(m1) - min_page:
                 continue
+            if m2 < m1:
+                continue
+            f2 = flip_page(n, m2)
+            if f2 < m1:
+                continue
             if c.prune_split_pairs and set(m1) & set(m2):
                 continue
-            degree = {pt: 0 for pt in points}
-            for a in m1 + m2:
-                degree[a[0]] += 1
-                degree[a[1]] += 1
-            deficit = tuple(pt for pt in points if degree[pt] == 1)
-            if not deficit or len(m1) + len(m2) + len(deficit) // 2 != n:
-                continue
-            for m3 in noncrossing_perfect_matchings(deficit):
-                if len(m3) < min_page:
-                    continue
+            used2 = {pt for a in m2 for pt in a}
+            deficit = tuple(pt for pt in points if (pt in used1) != (pt in used2))
+            options3 = page3_options.get(deficit)
+            if options3 is None:
+                options3 = page3_options[deficit] = [
+                    (m3, flip_page(n, m3)) for m3 in noncrossing_perfect_matchings(deficit)]
+            for m3, f3 in options3:
                 if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
                     continue
-                pres = ThreePagePresentation.of(n, m1, m2, m3)
-                if not validate(pres).ok:
+                pages = (m1, m2, m3)
+                if min(orbit_images(pages, (f1, f2, f3))) != pages:
                     continue
-                if not is_canonical(pres):
-                    continue
-                if c.required_components is not None or c.min_arcs_per_component:
-                    cycles = components(pres).cycles
+                if check_components:
+                    sizes = _component_sizes(pages)
                     if (c.required_components is not None
-                            and len(cycles) != c.required_components):
+                            and len(sizes) != c.required_components):
                         continue
-                    if c.min_arcs_per_component and any(
-                            len(cy) < c.min_arcs_per_component for cy in cycles):
+                    if c.min_arcs_per_component and min(sizes) < c.min_arcs_per_component:
                         continue
-                yield pres
+                yield from_page_arcs(n, pages)
 
 
 @dataclass(frozen=True)

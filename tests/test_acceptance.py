@@ -90,7 +90,8 @@ def test_criterion_4_hopf_index_is_six():
 def test_criterion_5_t33_needs_ten_arcs():
     t0 = time.time()
     report = refute_t33_at_9()
-    assert report.examined > 0
+    assert report.examined == 500
+    assert report.linking_candidates == 0
     assert report.refuted and not report.witnesses
     witness = tnn(3)
     assert witness.n == 10

@@ -1,5 +1,6 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from threepage.cli import main
 from threepage.torus import HOPF
@@ -11,7 +12,10 @@ def run(argv, stdin_text=None, monkeypatch=None):
         import sys
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed flags
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -107,6 +111,51 @@ def test_search_finds_hopf_at_six(monkeypatch):
 def test_search_usage_error(monkeypatch):
     code, _, err = run(["search", "--n-max", "5"])
     assert code == 2
+
+
+def test_search_n_max_below_three_is_usage_error(monkeypatch):
+    code, out, err = run(["search", "--n-max", "1", "--target-braid", "s1",
+                          "--strands", "2"])
+    assert code == 2 and out == ""
+    assert "--n-max must be at least 3" in err
+
+
+def test_non_integer_env_limit_is_usage_error(monkeypatch):
+    monkeypatch.setenv("THREEPAGE_MAX_N", "abc")
+    code, _, err = run(["search", "--n-max", "4", "--target-braid", "s1",
+                        "--strands", "2"])
+    assert code == 2
+    assert "THREEPAGE_MAX_N must be a positive integer, got 'abc'" in err
+
+
+def test_negative_env_limit_is_usage_error(monkeypatch):
+    monkeypatch.setenv("THREEPAGE_MAX_N", "-3")
+    code, _, err = run(["census", "--n", "3"])
+    assert code == 2
+    assert "THREEPAGE_MAX_N must be a positive integer, got '-3'" in err
+
+
+def test_non_positive_max_n_flag_is_usage_error(monkeypatch):
+    code, _, err = run(["census", "--n", "3", "--max-n", "-3"])
+    assert code == 2
+    assert "--max-n must be a positive integer, got -3" in err
+    code, _, err = run(["search", "--n-max", "4", "--max-n", "0",
+                        "--target-braid", "s1", "--strands", "2"])
+    assert code == 2
+    assert "--max-n must be a positive integer, got 0" in err
+
+
+def test_non_integer_max_n_flag_is_usage_error(monkeypatch):
+    code, _, err = run(["census", "--n", "3", "--max-n", "abc"])
+    assert code == 2
+    assert "argument --max-n: invalid int value: 'abc'" in err
+
+
+def test_census_six_matches_golden_bytes(monkeypatch):
+    golden = Path(__file__).parent / "golden" / "census6.txt"
+    code, out, _ = run(["census", "--n", "6"])
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
 
 
 def test_census_stdout(monkeypatch):

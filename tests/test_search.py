@@ -1,15 +1,22 @@
+import itertools
+
 import pytest
 
 from threepage.invariants import profile, trivial_profile, equal_up_to_mirror
 from threepage.presentation import (canonicalize, detect_split_pair, insert_kink,
-                                    is_canonical)
-from threepage.search import (SearchConstraints, SearchLimitExceeded, census,
+                                    is_canonical, validate)
+from threepage.search import (InvalidSearchLimit, SearchConstraints,
+                              SearchLimitExceeded, census,
                               enumerate_presentations, noncrossing_matchings,
                               noncrossing_perfect_matchings, search_limit,
                               three_page_index)
 from threepage.torus import UNKNOT_TRIANGLE, closure_profile
 
-from util import naive_noncrossing_matchings, naive_valid_presentations
+from util import (naive_noncrossing_matchings, naive_valid_presentations,
+                  reference_component_filter, reference_presentations)
+
+#: canonical presentations on n points, n = 3..9
+GOLDEN_COUNTS = {3: 2, 4: 10, 5: 44, 6: 294, 7: 1964, 8: 14636, 9: 112912}
 
 
 def _all(n, **kw):
@@ -51,6 +58,31 @@ def test_enumeration_matches_naive_oracle_up_to_symmetry():
         fast = {p.sort_key() for p in _all(n)}
         naive = {canonicalize(p).sort_key() for p in naive_valid_presentations(n)}
         assert fast == naive, n
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_COUNTS))
+def test_golden_canonical_counts(n):
+    count = sum(1 for _ in enumerate_presentations(SearchConstraints(n)))
+    assert count == GOLDEN_COUNTS[n]
+
+
+def test_stream_equals_reference_over_constraint_grid():
+    # the expensive part of the reference (validate + is_canonical on every
+    # triple) depends only on n and the page-level constraints, so it runs
+    # once per such combination; the component filter is applied per case
+    for n, split, min_page in itertools.product(range(3, 8), (False, True), (1, 2)):
+        base = list(reference_presentations(SearchConstraints(
+            n, prune_split_pairs=split, min_arcs_per_page=min_page)))
+        for required, per_component in itertools.product((None, 1, 2, 3),
+                                                         (None, 2, 3)):
+            try:
+                c = SearchConstraints(n, required, per_component, split, min_page)
+            except ValueError:
+                continue
+            fast = list(enumerate_presentations(c))
+            assert fast == [p for p in base if reference_component_filter(p, c)], c
+            for pres in fast:
+                assert validate(pres).ok and is_canonical(pres), (c, pres)
 
 
 def test_enumerated_presentations_are_canonical_and_unique():
@@ -129,6 +161,16 @@ def test_search_limit_and_env_override(monkeypatch):
     monkeypatch.delenv("THREEPAGE_MAX_N")
     assert search_limit() == 10
     assert search_limit(15) == 15
+
+
+def test_bad_search_limits_are_rejected(monkeypatch):
+    for value in ("abc", "-3", "0"):
+        monkeypatch.setenv("THREEPAGE_MAX_N", value)
+        with pytest.raises(InvalidSearchLimit, match="THREEPAGE_MAX_N"):
+            search_limit()
+    monkeypatch.delenv("THREEPAGE_MAX_N")
+    with pytest.raises(InvalidSearchLimit, match="max_n"):
+        search_limit(-3)
 
 
 def test_constraint_consistency_check():

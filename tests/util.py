@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's diagram machinery so that
 test expectations are computed along a different path than the code under
 test: crossing signs come from semicircle calculus, enumeration counts from
-a naive generate-and-filter pass, and braid equality from the action on a
-free group.
+a naive generate-and-filter pass, the enumeration stream from a reference
+pass that validates and canonicalizes every candidate, and braid equality
+from the action on a free group.
 """
 
 from __future__ import annotations
@@ -12,8 +13,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from typing import Iterator
+
 from threepage.presentation import (ThreePagePresentation, arcs_interleave,
-                                    components, validate)
+                                    components, is_canonical, validate)
+from threepage.search import (SearchConstraints, noncrossing_matchings,
+                              noncrossing_perfect_matchings)
 
 # -- geometric semicircle oracle -------------------------------------------------
 #
@@ -114,6 +119,59 @@ def naive_valid_presentations(n: int) -> list[ThreePagePresentation]:
         if validate(pres).ok:
             out.append(pres)
     return out
+
+
+def reference_component_filter(pres: ThreePagePresentation,
+                               c: SearchConstraints) -> bool:
+    """The component constraints of c, checked through components()."""
+    if c.required_components is not None or c.min_arcs_per_component:
+        cycles = components(pres).cycles
+        if (c.required_components is not None
+                and len(cycles) != c.required_components):
+            return False
+        if c.min_arcs_per_component and any(
+                len(cy) < c.min_arcs_per_component for cy in cycles):
+            return False
+    return True
+
+
+def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
+    """The enumeration stream by generate-then-filter, in library order.
+
+    Every (page 1, page 2, page 3) triple is built as an object and kept
+    only if validate, is_canonical and the component filter accept it.
+    """
+    n = c.n
+    points = tuple(range(1, n + 1))
+    min_page = c.min_arcs_per_page or 1
+    for m1 in noncrossing_matchings(points):
+        if not min_page <= len(m1) <= n - 2 * min_page:
+            continue
+        used1 = {pt for a in m1 for pt in a}
+        for m2 in noncrossing_matchings(points, frozenset(points) - frozenset(used1)):
+            if not min_page <= len(m2) <= n - len(m1) - min_page:
+                continue
+            if c.prune_split_pairs and set(m1) & set(m2):
+                continue
+            degree = {pt: 0 for pt in points}
+            for a in m1 + m2:
+                degree[a[0]] += 1
+                degree[a[1]] += 1
+            deficit = tuple(pt for pt in points if degree[pt] == 1)
+            if not deficit or len(m1) + len(m2) + len(deficit) // 2 != n:
+                continue
+            for m3 in noncrossing_perfect_matchings(deficit):
+                if len(m3) < min_page:
+                    continue
+                if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
+                    continue
+                pres = ThreePagePresentation.of(n, m1, m2, m3)
+                if not validate(pres).ok:
+                    continue
+                if not is_canonical(pres):
+                    continue
+                if reference_component_filter(pres, c):
+                    yield pres
 
 
 # -- braid action on the free group ----------------------------------------------
