@@ -103,6 +103,45 @@ class Trace:
     #: per crossing: (under component, over component)
     crossing_components: tuple[tuple[int, int], ...] = ()
 
+    def orientations(self) -> Iterator[Orientation]:
+        for flips in itertools.product((False, True), repeat=self.component_count):
+            yield Orientation(flips)
+
+    def _signed_crossings(self, o: Orientation) -> Iterator[tuple[int, int, int]]:
+        """Yield (sign, under component, over component) per crossing under o."""
+        if len(o.flips) != self.component_count:
+            raise ValueError(f"orientation has {len(o.flips)} flips for "
+                             f"{self.component_count} components")
+        for base, (cu, co) in zip(self.base_signs, self.crossing_components):
+            s = base
+            if o.flips[cu]:
+                s = -s
+            if o.flips[co]:
+                s = -s
+            yield s, cu, co
+
+    def writhe(self, o: Orientation) -> int:
+        return sum(s for s, _, _ in self._signed_crossings(o))
+
+    def linking_matrix(self, o: Orientation) -> tuple[tuple[int, ...], ...]:
+        k = self.component_count
+        acc = [[0] * k for _ in range(k)]
+        for s, cu, co in self._signed_crossings(o):
+            if cu != co:
+                acc[cu][co] += s
+                acc[co][cu] += s
+        for i in range(k):
+            for j in range(k):
+                if acc[i][j] % 2 != 0:
+                    raise AssertionError("inter-component crossings must pair up")
+                acc[i][j] //= 2
+        return tuple(tuple(row) for row in acc)
+
+    def abs_linking(self) -> tuple[int, ...]:
+        k = self.component_count
+        mat = self.linking_matrix(Orientation.base(k))
+        return tuple(sorted(abs(mat[i][j]) for i in range(k) for j in range(i + 1, k)))
+
 
 def _incidences(d: PlanarDiagram) -> dict[int, list[Incidence]]:
     out: dict[int, list[Incidence]] = {}
@@ -152,51 +191,22 @@ def component_count(d: PlanarDiagram) -> int:
 
 
 def orientations(d: PlanarDiagram) -> Iterator[Orientation]:
-    for flips in itertools.product((False, True), repeat=component_count(d)):
-        yield Orientation(flips)
-
-
-def _signed_crossings(d: PlanarDiagram, o: Orientation) -> Iterator[tuple[int, int, int]]:
-    """Yield (sign, under component, over component) per crossing under o."""
-    tr = trace(d)
-    if len(o.flips) != tr.component_count:
-        raise ValueError(f"orientation has {len(o.flips)} flips for "
-                         f"{tr.component_count} components")
-    for base, (cu, co) in zip(tr.base_signs, tr.crossing_components):
-        s = base
-        if o.flips[cu]:
-            s = -s
-        if o.flips[co]:
-            s = -s
-        yield s, cu, co
+    return trace(d).orientations()
 
 
 def writhe(d: PlanarDiagram, o: Orientation) -> int:
     """Signed crossing sum under the stated right-hand sign rule."""
-    return sum(s for s, _, _ in _signed_crossings(d, o))
+    return trace(d).writhe(o)
 
 
 def linking_matrix(d: PlanarDiagram, o: Orientation) -> tuple[tuple[int, ...], ...]:
     """lk(i, j) = half the signed sum of crossings between components i and j."""
-    k = trace(d).component_count
-    acc = [[0] * k for _ in range(k)]
-    for s, cu, co in _signed_crossings(d, o):
-        if cu != co:
-            acc[cu][co] += s
-            acc[co][cu] += s
-    for i in range(k):
-        for j in range(k):
-            if acc[i][j] % 2 != 0:
-                raise AssertionError("inter-component crossings must pair up")
-            acc[i][j] //= 2
-    return tuple(tuple(row) for row in acc)
+    return trace(d).linking_matrix(o)
 
 
 def abs_linking_multiset(d: PlanarDiagram) -> tuple[int, ...]:
     """Sorted |lk| values over unordered component pairs (orientation-free)."""
-    k = trace(d).component_count
-    mat = linking_matrix(d, Orientation.base(k))
-    return tuple(sorted(abs(mat[i][j]) for i in range(k) for j in range(i + 1, k)))
+    return trace(d).abs_linking()
 
 
 # -- projection of a three-page presentation ---------------------------------

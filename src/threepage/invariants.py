@@ -7,8 +7,9 @@ The bracket polynomial <.> is characterised by
     <L u O>  = (-A^2 - A^-2) <L>
 
 and is computed by two independent algorithms: a brute-force sum over all
-2^c smoothing states, and a memoised skein recursion.  The Jones polynomial
-is the writhe normalisation f = (-A^3)^(-w) <D>, kept in the A variable.
+2^c smoothing states, kept as the oracle, and a frontier contraction that
+adds one crossing at a time.  The Jones polynomial is the writhe
+normalisation f = (-A^3)^(-w) <D>, kept in the A variable.
 
 Links are identified by an orientation-insensitive profile: component
 count, the multiset of |lk| over component pairs and the set of Jones
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .diagram import (CrossingTuple, Orientation, PlanarDiagram,
-                      abs_linking_multiset, orientations, project, trace, writhe)
+from .diagram import (CrossingTuple, Orientation, PlanarDiagram, Trace, project,
+                      trace, writhe)
 from .laurent import LOOP, LaurentPoly, poly_sort_key, writhe_unit
 from .presentation import ThreePagePresentation
 
@@ -87,111 +88,127 @@ def bracket_statesum(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> L
     return out
 
 
-# -- skein recursion -----------------------------------------------------------
+# -- frontier contraction -----------------------------------------------------
+
+#: delta^k = (-A^2 - A^-2)^k for the 0, 1 or 2 loops one crossing can close.
+_LOOP_POWERS = ({0: 1}, {2: -1, -2: -1}, {4: 1, 0: 2, -4: 1})
+
+#: Per smoothing, A = (t0 t1)(t2 t3) and B = (t0 t3)(t1 t2): the slot joined
+#: to each slot, and per count of loops closed the terms of A^(+-1) delta^loops.
+_SMOOTHINGS = tuple(
+    (inner, tuple(tuple((e + shift, c) for e, c in lp.items()) for lp in _LOOP_POWERS))
+    for inner, shift in (((1, 0, 3, 2), 1), ((3, 2, 1, 0), -1)))
 
 
-def _canonical_key(crossings: tuple[CrossingTuple, ...]) -> tuple[CrossingTuple, ...]:
-    """Relabel-and-sort normal form; imperfect canonicalisation only costs
-    memo hits, never correctness."""
-    cur = tuple(min(t, (t[2], t[3], t[0], t[1])) for t in crossings)
-    for _ in range(4):
-        rename: dict[int, int] = {}
-        relabeled = tuple(
-            tuple(rename.setdefault(e, len(rename)) for e in t) for t in cur)
-        relabeled = tuple(min(t, (t[2], t[3], t[0], t[1])) for t in relabeled)
-        nxt = tuple(sorted(relabeled))
-        if nxt == cur:
-            break
-        cur = nxt
-    return cur
+def _contraction_order(crossings: tuple[CrossingTuple, ...]) -> list[int]:
+    """Greedy planar order: next the crossing that adds the fewest open
+    edges, ties broken by index.  An edge is open while exactly one of its
+    two ends lies at a contracted crossing."""
+    open_edges: set[int] = set()
 
+    def growth(k: int) -> int:
+        t = crossings[k]
+        return sum(-1 if e in open_edges else 1 for e in t if t.count(e) == 1)
 
-_KINK_ACTION = {
-    # slots holding the repeated edge -> (exponent of the -A^3 unit, surviving slot pair)
-    (0, 1): (1, (2, 3)),
-    (2, 3): (1, (0, 1)),
-    (1, 2): (-1, (0, 3)),
-    (0, 3): (-1, (1, 2)),
-}
-
-
-def _smooth(crossings: list[CrossingTuple], pairs: tuple[tuple[int, int], tuple[int, int]]
-            ) -> tuple[list[CrossingTuple], int]:
-    """Join the two edge pairs, renaming through the merge; returns the new
-    crossing list and the number of loops closed by the joins."""
-    loops = 0
-    rename: dict[int, int] = {}
-
-    def find(e: int) -> int:
-        while e in rename:
-            e = rename[e]
-        return e
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            loops += 1
-        else:
-            rename[ru] = rv
-    out = [tuple(find(e) for e in t) for t in crossings]  # type: ignore[misc]
-    return out, loops
+    left = list(range(len(crossings)))
+    order: list[int] = []
+    while left:
+        best = min(left, key=growth)
+        left.remove(best)
+        order.append(best)
+        t = crossings[best]
+        open_edges.symmetric_difference_update(e for e in t if t.count(e) == 1)
+    return order
 
 
 def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> LaurentPoly:
-    """Bracket by skein recursion: resolve one crossing, recurse, memoise on
-    a canonical key of the remaining sub-diagram.
+    """Bracket by frontier contraction (Bar-Natan, "Fast Khovanov homology
+    computations", JKTR 2007).
 
-    Crossings whose tuple repeats an edge in adjacent slots are curls and
-    are resolved deterministically first (each contributes a -A^{+-3}
-    factor without branching), which collapses braid-like diagrams fast.
+    Crossings are added one at a time in ``_contraction_order``.  The state
+    maps each pairing of the open edges (which open edge ends are joined
+    through the smoothed part) to the sum of A^(a-b) delta^loops over the
+    partial smoothing states that induce it.  Each crossing splits every
+    state into its A and B smoothings; each loop it closes is a factor of
+    delta.  When every crossing is contracted the single empty pairing holds
+    the bracket normalised so the empty diagram evaluates to 1.
     """
     _check_limit(d, limit)
-    memo: dict[tuple[CrossingTuple, ...], LaurentPoly] = {}
-
-    def reduce_curls(crossings: list[CrossingTuple]) -> tuple[list[CrossingTuple], int, int]:
-        """Strip curls; returns (rest, net power of -A^3, loops closed)."""
-        power = 0
-        loops = 0
-        changed = True
-        while changed:
-            changed = False
-            for k, t in enumerate(crossings):
-                for slots, (pw, keep) in _KINK_ACTION.items():
-                    if t[slots[0]] == t[slots[1]]:
-                        rest = crossings[:k] + crossings[k + 1:]
-                        rest, closed = _smooth(rest, ((t[keep[0]], t[keep[1]]),))
-                        power += pw
-                        loops += closed
-                        crossings = rest
-                        changed = True
-                        break
-                if changed:
-                    break
-        return crossings, power, loops
-
-    def value(crossings: list[CrossingTuple]) -> LaurentPoly:
-        """Bracket normalised so the empty diagram evaluates to 1."""
-        crossings, power, loops = reduce_curls(crossings)
-        prefactor = writhe_unit(power) * (LOOP ** loops)
-        if not crossings:
-            return prefactor
-        key = _canonical_key(tuple(crossings))
-        hit = memo.get(key)
-        if hit is None:
-            t = crossings[0]
-            rest = crossings[1:]
-            ra, la = _smooth(rest, ((t[0], t[1]), (t[2], t[3])))
-            rb, lb = _smooth(rest, ((t[0], t[3]), (t[1], t[2])))
-            hit = (LaurentPoly.monomial(1) * (LOOP ** la) * value(ra)
-                   + LaurentPoly.monomial(-1) * (LOOP ** lb) * value(rb))
-            memo[key] = hit
-        return prefactor * hit
-
     if not d.crossings:
         if d.free_loops == 0:
             raise ValueError("bracket of the empty diagram is undefined")
         return LOOP ** (d.free_loops - 1)
-    total = value(list(d.crossings)) * (LOOP ** d.free_loops)
+    front: list[int] = []  # open edges; a pairing is a partner position per edge
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for k in _contraction_order(d.crossings):
+        t = d.crossings[k]
+        pos = {e: i for i, e in enumerate(front)}
+        kept = [i for i, e in enumerate(front) if e not in t]
+        new_front = [front[i] for i in kept]
+        # Where an end leads away from this crossing is coded as a position
+        # in new_front (>= 0) or as -1 - slot for another slot of it.
+        # route[i]: where open edge i leads out of the contracted part.
+        route = [-1] * len(front)
+        for j, i in enumerate(kept):
+            route[i] = j
+        # outer[s]: where slot s leads; for slots on open edges it depends on
+        # the pairing and is filled in per state from old_slots
+        outer = [0] * 4
+        old_slots: list[tuple[int, int]] = []
+        for s, e in enumerate(t):
+            if e in pos:
+                route[pos[e]] = -1 - s
+                old_slots.append((s, pos[e]))
+            elif t.count(e) == 2:  # a curl: the edge joins two slots here
+                outer[s] = -1 - next(r for r in range(4) if r != s and t[r] == e)
+            else:
+                outer[s] = len(new_front)
+                new_front.append(e)
+        grow = len(new_front) - len(kept)
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for pairing, poly in states.items():
+            for s, i in old_slots:
+                outer[s] = route[pairing[i]]
+            # kept edges whose partner ends here get rewritten below
+            base = [route[pairing[i]] for i in kept] + [0] * grow
+            for inner, factors in _SMOOTHINGS:
+                out = base[:]
+                seen = [False] * 4
+                # join each pair of exits the smoothed crossing connects
+                for s in range(4):
+                    a = outer[s]
+                    if a < 0 or seen[s]:
+                        continue
+                    cur = s
+                    while True:
+                        seen[cur] = True
+                        cur = inner[cur]
+                        seen[cur] = True
+                        b = outer[cur]
+                        if b >= 0:
+                            break
+                        cur = -1 - b
+                    out[a] = b
+                    out[b] = a
+                # the slots left over lie on closed loops
+                loops = 0
+                for s in range(4):
+                    if not seen[s]:
+                        loops += 1
+                        cur = s
+                        while not seen[cur]:
+                            seen[cur] = True
+                            cur = inner[cur]
+                            seen[cur] = True
+                            cur = -1 - outer[cur]
+                acc = nxt.setdefault(tuple(out), {})
+                for fe, fc in factors[loops]:
+                    for e, c in poly.items():
+                        e += fe
+                        acc[e] = acc.get(e, 0) + c * fc
+        front = new_front
+        states = nxt
+    total = LaurentPoly.from_dict(states[()]) * (LOOP ** d.free_loops)
     return total.divide_exact(LOOP)
 
 
@@ -209,8 +226,12 @@ def jones_set(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> frozense
 
     The bracket is orientation-free, so it is computed once and only the
     writhe normalisation varies."""
+    return _jones_set(d, trace(d), limit)
+
+
+def _jones_set(d: PlanarDiagram, tr: Trace, limit: int) -> frozenset[LaurentPoly]:
     b = bracket_skein(d, limit)
-    return frozenset(writhe_unit(-writhe(d, o)) * b for o in orientations(d))
+    return frozenset(writhe_unit(-tr.writhe(o)) * b for o in tr.orientations())
 
 
 def mirror_set(polys: frozenset[LaurentPoly]) -> frozenset[LaurentPoly]:
@@ -248,8 +269,8 @@ def profile(obj: Union[ThreePagePresentation, PlanarDiagram],
     """Assemble the identification profile of a presentation or diagram."""
     d = project(obj) if isinstance(obj, ThreePagePresentation) else obj
     tr = trace(d)
-    return InvariantProfile(tr.component_count, abs_linking_multiset(d),
-                            jones_set(d, limit))
+    return InvariantProfile(tr.component_count, tr.abs_linking(),
+                            _jones_set(d, tr, limit))
 
 
 def equal_up_to_mirror(a: InvariantProfile, b: InvariantProfile) -> bool:

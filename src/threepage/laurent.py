@@ -60,9 +60,15 @@ class LaurentPoly:
         return LaurentPoly.from_dict(d)
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        if len(self.terms) == 1:
+            (e, c), = self.terms
+            if c in (1, -1):
+                return LaurentPoly(((e * k, c ** abs(k)),))
+            if k >= 0:
+                return LaurentPoly(((e * k, c ** k),))
         if k < 0:
-            raise ValueError("negative powers are only defined for monomials; "
-                             "use monomial() directly")
+            raise ValueError("negative powers are only defined for the "
+                             "monomials A^e and -A^e")
         out = ONE
         for _ in range(k):
             out = out * self
@@ -143,8 +149,7 @@ NEG_A3_INV = LaurentPoly.monomial(-3, -1)
 
 def writhe_unit(power: int) -> LaurentPoly:
     """(-A^3)^power for a possibly negative integer power."""
-    base = NEG_A3 if power >= 0 else NEG_A3_INV
-    return base ** abs(power)
+    return NEG_A3 ** power
 
 
 def in_t_variable(poly: LaurentPoly) -> str:

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from threepage.braids import BraidWord, torus_braid
-from threepage.diagram import (Orientation, braid_closure_diagram, disjoint_union,
-                               orientations, project)
+from threepage.diagram import (Orientation, PlanarDiagram, braid_closure_diagram,
+                               disjoint_union, orientations, project)
 from threepage.invariants import (CrossingLimitError, bracket_skein,
                                   bracket_statesum, equal_up_to_mirror, jones,
                                   jones_set, profile, trivial_profile)
 from threepage.laurent import LOOP, ONE, LaurentPoly
 from threepage.presentation import ThreePagePresentation, symmetry_orbit
-from threepage.torus import tnn
+from threepage.torus import tnn, tpq, tpq_tight
 
 HOPF_BRACKET = LaurentPoly.from_dict({4: -1, -4: -1})
 TREFOIL_JONES = LaurentPoly.from_dict({-4: 1, -12: 1, -16: -1})
@@ -110,17 +110,51 @@ def test_crossing_limit_enforced(trefoil_diagram):
 
 def test_statesum_equals_skein_randomized():
     rng = random.Random(20240801)
+
+    def closure(strands: int, length: int, generators: int) -> PlanarDiagram:
+        letters = [(rng.randint(1, generators), rng.choice((1, -1)))
+                   for _ in range(length)]
+        return braid_closure_diagram(BraidWord.of(strands, letters))
+
     checked = 0
     while checked < 40:
         strands = rng.randint(2, 4)
-        length = rng.randint(1, 8)
-        letters = [(rng.randint(1, strands - 1), rng.choice((1, -1)))
-                   for _ in range(length)]
-        d = braid_closure_diagram(BraidWord.of(strands, letters))
+        d = closure(strands, rng.randint(1, 8), strands - 1)
         if d.crossing_count() > 10:
             continue
         assert bracket_statesum(d) == bracket_skein(d)
         checked += 1
+    # one-letter closures on 2 strands are single curls
+    curls = [braid_closure_diagram(BraidWord.of(2, [(1, s)])) for s in (1, -1)]
+    # letters on s1 only leave the other strands as free loops
+    loose = [closure(rng.randint(3, 5), rng.randint(1, 4), 1) for _ in range(6)]
+    parts = curls + loose + [closure(3, rng.randint(1, 4), 2) for _ in range(6)]
+    unions = [disjoint_union(rng.choice(parts), rng.choice(parts))
+              for _ in range(12)]
+    extra = curls + loose + unions + [disjoint_union(unions[0], curls[1])]
+    curl_slots = {(s, (s + 1) % 4) for d in extra for t in d.crossings
+                  for s in range(4) if t[s] == t[(s + 1) % 4]}
+    assert curl_slots == {(0, 1), (1, 2), (2, 3), (3, 0)}
+    assert all(d.free_loops for d in loose)
+    for d in extra:
+        assert d.crossing_count() <= 12
+        assert bracket_statesum(d) == bracket_skein(d)
+
+
+def test_profile_traces_once(monkeypatch):
+    from threepage import diagram, invariants
+
+    calls = []
+    real_trace = diagram.trace
+
+    def counting_trace(d):
+        calls.append(d)
+        return real_trace(d)
+
+    for module in (diagram, invariants):
+        monkeypatch.setattr(module, "trace", counting_trace)
+    assert profile(tnn(3)) == profile(project(tnn(3)))
+    assert len(calls) == 2
 
 
 def test_jones_set_orientation_count(hopf):
@@ -155,3 +189,37 @@ def test_split_pair_profile_factorizes():
     partial = jones_set(project(rest))
     assert full.jones == frozenset(f * LOOP for f in partial)
     assert set(full.abs_linking) <= {0}
+
+
+def torus_knot_jones(p: int, q: int) -> LaurentPoly:
+    """Jones polynomial of the (p,q)-torus knot from the closed form
+    V(t) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2)
+    (Jones, Ann. Math. 1987), written in A through t = A^-4."""
+    num = {0: 1, p + 1: -1, q + 1: -1, p + q: 1}
+    quot: dict[int, int] = {}
+    # the quotient has degree p+q-2; divide by 1 - t^2 from the low end
+    for k in range(p + q - 1):
+        quot[k] = num.get(k, 0) + quot.get(k - 2, 0)
+    shift = (p - 1) * (q - 1) // 2
+    return LaurentPoly.from_dict({-4 * (k + shift): c for k, c in quot.items()})
+
+
+@pytest.mark.parametrize("p, q, build", [
+    (2, 5, lambda: braid_closure_diagram(torus_braid(2, 5))),
+    (3, 4, lambda: braid_closure_diagram(torus_braid(3, 4))),
+    (3, 5, lambda: braid_closure_diagram(torus_braid(3, 5))),
+    (4, 7, lambda: braid_closure_diagram(torus_braid(4, 7))),
+    (4, 7, lambda: project(tpq(4, 7))),
+    (4, 9, lambda: project(tpq_tight(4, 9))),
+], ids=["T(2,5)", "T(3,4)", "T(3,5)", "T(4,7)", "tpq(4,7)", "tpq_tight(4,9)"])
+def test_torus_knot_jones_closed_form(p, q, build):
+    want = torus_knot_jones(p, q)
+    prof = profile(build(), limit=64)
+    assert prof.component_count == 1
+    assert prof.jones in ({want}, {want.mirror()})
+
+
+def test_tnn5_orbit_profiles_match_closed_braid():
+    braid = profile(braid_closure_diagram(torus_braid(5, 5)), limit=64)
+    for q in symmetry_orbit(tnn(5)):
+        assert profile(q, limit=64) == braid

@@ -26,6 +26,17 @@ def test_loop_and_writhe_units():
     assert writhe_unit(1) * writhe_unit(-1) == ONE
     assert writhe_unit(3) == LaurentPoly.monomial(9, -1)
     assert LOOP * LOOP == LaurentPoly.from_dict({4: 1, 0: 2, -4: 1})
+    for power in range(-34, 35):
+        step = LaurentPoly.monomial(3 if power > 0 else -3, -1)
+        expected = ONE
+        for _ in range(abs(power)):
+            expected = expected * step
+        assert writhe_unit(power) == expected
+    assert LaurentPoly.monomial(-2, 3) ** 3 == LaurentPoly.monomial(-6, 27)
+    assert LOOP ** 3 == LOOP * LOOP * LOOP
+    for base in (LOOP, LaurentPoly.monomial(1, 2), ZERO):
+        with pytest.raises(ValueError):
+            base ** -1
 
 
 def test_mirror_involution():
