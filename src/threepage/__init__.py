@@ -17,8 +17,6 @@ from .presentation import (ComponentDecomposition, InvalidPresentationError,
                            ThreePagePresentation, ValidationReport, canonicalize,
                            components, detect_split_pair, insert_kink,
                            is_canonical, parse, symmetry_orbit, validate)
-from .reidemeister import (R1Insert, R1Remove, R2Insert, R2Remove, R3Slide,
-                           reidemeister_perturb, sites)
 from .render import RenderSpec, render, render_ascii, render_svg
 from .search import (CensusEntry, IndexSearchResult, InvalidSearchLimit,
                      RefutationReport, SearchConstraints, SearchLimitExceeded,

@@ -9,7 +9,6 @@ invariants; a word-problem solver is out of scope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,9 +43,6 @@ class BraidWord:
         if k < 0:
             raise ValueError("negative powers not supported")
         return BraidWord(self.strands, self.letters * k)
-
-    def inverse_free(self) -> bool:
-        return all(s > 0 for _, s in self.letters)
 
 
 def parse_word(text: str, strands: int) -> BraidWord:
@@ -181,7 +177,3 @@ def verify_factorization(lhs: BraidWord, rhs: BraidWord) -> FactorizationReport:
     prof_ok = equal_up_to_mirror(profile(braid_closure_diagram(lhs)),
                                  profile(braid_closure_diagram(rhs)))
     return FactorizationReport(perm_ok, exp_ok, prof_ok)
-
-
-def torus_component_count(p: int, q: int) -> int:
-    return math.gcd(p, q)

@@ -22,12 +22,11 @@ from .diagram import (Orientation, braid_closure_diagram, linking_matrix,
 from .invariants import (CrossingLimitError, bracket_skein, equal_up_to_mirror,
                          profile)
 from .laurent import in_t_variable, poly_sort_key
-from .presentation import (InvalidPresentationError, ParseError,
-                           ThreePagePresentation, components, detect_split_pair,
-                           parse, validate)
+from .presentation import (ParseError, ThreePagePresentation, components,
+                           detect_split_pair, parse, validate)
 from .render import RenderSpec, render
-from .search import (InvalidSearchLimit, SearchLimitExceeded, census,
-                     census_text, refute_t33_at_9, three_page_index)
+from .search import (InvalidSearchLimit, census, census_text, refute_t33_at_9,
+                     three_page_index)
 from .torus import TorusParams, bounds, closure_profile, tnn, tpq, tpq_tight
 
 USAGE_ERROR = 2
@@ -332,10 +331,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InvalidSearchLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (InvalidPresentationError, SearchLimitExceeded, CrossingLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
-    except ValueError as exc:
+    except (CrossingLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
 

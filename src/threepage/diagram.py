@@ -46,8 +46,6 @@ class PlanarDiagram:
 
     crossings: tuple[CrossingTuple, ...]
     free_loops: int = 0
-    #: optional provenance: per crossing, (under placed arc, over placed arc)
-    labels: Optional[tuple[tuple[PlacedArc, PlacedArc], ...]] = None
     #: optional provenance for projections: per presentation cycle with
     #: crossings, (first edge id, head incidence of that edge along the walk)
     walk_heads: Optional[tuple[Optional[tuple[int, Incidence]], ...]] = None
@@ -90,8 +88,6 @@ Incidence = tuple[int, int]  # (crossing index, slot)
 class Trace:
     """Base traversal data: components, edge directions and crossing signs."""
 
-    #: per component, edge ids in traversal order (free loops excluded)
-    components: tuple[tuple[int, ...], ...]
     #: total component count including free loops
     component_count: int
     #: edge -> component index
@@ -155,16 +151,14 @@ def trace(d: PlanarDiagram) -> Trace:
     inc = _incidences(d)
     edge_component: dict[int, int] = {}
     edge_direction: dict[int, tuple[Incidence, Incidence]] = {}
-    comps: list[tuple[int, ...]] = []
+    traced = 0  # components met by the walk (free loops excluded)
     for e0 in sorted(inc):
         if e0 in edge_component:
             continue
-        walk: list[int] = []
         tail, head = inc[e0]
         e = e0
         while True:
-            walk.append(e)
-            edge_component[e] = len(comps)
+            edge_component[e] = traced
             edge_direction[e] = (tail, head)
             c, s = head
             exit_inc = (c, (s + 2) % 4)
@@ -174,7 +168,7 @@ def trace(d: PlanarDiagram) -> Trace:
             head = b if a == exit_inc else a
             if e == e0 and tail == inc[e0][0]:
                 break
-        comps.append(tuple(walk))
+        traced += 1
     signs: list[int] = []
     crossing_comps: list[tuple[int, int]] = []
     for c, t in enumerate(d.crossings):
@@ -182,8 +176,8 @@ def trace(d: PlanarDiagram) -> Trace:
         over_in_3 = edge_direction[t[3]][1] == (c, 3)
         signs.append((1 if under_in_0 else -1) * (1 if over_in_3 else -1))
         crossing_comps.append((edge_component[t[0]], edge_component[t[1]]))
-    return Trace(tuple(comps), len(comps) + d.free_loops, edge_component,
-                 edge_direction, tuple(signs), tuple(crossing_comps))
+    return Trace(traced + d.free_loops, edge_component, edge_direction,
+                 tuple(signs), tuple(crossing_comps))
 
 
 def component_count(d: PlanarDiagram) -> int:
@@ -285,9 +279,7 @@ def project(p: ThreePagePresentation) -> PlanarDiagram:
             slots[in_at[0]][in_at[1]] = e
     crossings = tuple((slots[k][0], slots[k][1], slots[k][2], slots[k][3])
                       for k in range(len(pairs)))
-    labels = tuple((PlacedArc(0, u), PlacedArc(2, v)) for u, v in pairs)
-    return PlanarDiagram(crossings, free_loops, labels or None,
-                         tuple(walk_heads) or None)
+    return PlanarDiagram(crossings, free_loops, tuple(walk_heads) or None)
 
 
 def orientation_from_point_cycles(p: ThreePagePresentation, d: PlanarDiagram,
@@ -341,25 +333,15 @@ def braid_closure_diagram(w: BraidWord) -> PlanarDiagram:
         nxt += 2
         provisional.append((li, a, b, ri) if sign > 0 else (ri, li, a, b))
         cur[i - 1], cur[i] = a, b
-    parent = list(range(nxt))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in range(s):
-        a, b = find(cur[k]), find(k)
-        if a != b:
-            parent[a] = b
+    # closing position k joins its top edge cur[k] to its bottom edge k;
+    # cur[k] is k itself (an untouched strand, a free loop) or a fresh edge
+    # that no other position holds
+    close = {cur[k]: k for k in range(s)}
     rename: dict[int, int] = {}
-    crossings: list[CrossingTuple] = []
-    for t in provisional:
-        crossings.append(tuple(rename.setdefault(find(e), len(rename)) for e in t))  # type: ignore[arg-type]
-    touched = {find(e) for t in provisional for e in t}
-    free_loops = len({find(k) for k in range(s)} - touched)
-    return PlanarDiagram(tuple(crossings), free_loops)
+    crossings = tuple(tuple(rename.setdefault(close.get(e, e), len(rename)) for e in t)
+                      for t in provisional)
+    free_loops = sum(1 for k in range(s) if cur[k] == k)
+    return PlanarDiagram(crossings, free_loops)  # type: ignore[arg-type]
 
 
 def disjoint_union(d1: PlanarDiagram, d2: PlanarDiagram) -> PlanarDiagram:

@@ -130,8 +130,10 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
     through the smoothed part) to the sum of A^(a-b) delta^loops over the
     partial smoothing states that induce it.  Each crossing splits every
     state into its A and B smoothings; each loop it closes is a factor of
-    delta.  When every crossing is contracted the single empty pairing holds
-    the bracket normalised so the empty diagram evaluates to 1.
+    delta.  The front is empty after the last crossing, so every state
+    closes at least one loop there; counting one loop fewer at that
+    crossing leaves the bracket, normalised so one circle evaluates to 1,
+    in the single empty pairing.
     """
     _check_limit(d, limit)
     if not d.crossings:
@@ -140,8 +142,10 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
         return LOOP ** (d.free_loops - 1)
     front: list[int] = []  # open edges; a pairing is a partner position per edge
     states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for k in _contraction_order(d.crossings):
+    order = _contraction_order(d.crossings)
+    for k in order:
         t = d.crossings[k]
+        uncounted = 1 if k == order[-1] else 0
         pos = {e: i for i, e in enumerate(front)}
         kept = [i for i, e in enumerate(front) if e not in t]
         new_front = [front[i] for i in kept]
@@ -202,14 +206,14 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
                             seen[cur] = True
                             cur = -1 - outer[cur]
                 acc = nxt.setdefault(tuple(out), {})
-                for fe, fc in factors[loops]:
+                for fe, fc in factors[loops - uncounted]:
                     for e, c in poly.items():
                         e += fe
                         acc[e] = acc.get(e, 0) + c * fc
         front = new_front
         states = nxt
-    total = LaurentPoly.from_dict(states[()]) * (LOOP ** d.free_loops)
-    return total.divide_exact(LOOP)
+    total = LaurentPoly.from_dict(states[()])
+    return total * LOOP ** d.free_loops if d.free_loops else total
 
 
 def jones(d: PlanarDiagram, o: Orientation, limit: int = DEFAULT_CROSSING_LIMIT) -> LaurentPoly:

@@ -45,12 +45,6 @@ class LaurentPoly:
             d[e] = d.get(e, 0) + c
         return LaurentPoly.from_dict(d)
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         d: dict[int, int] = {}
         for e1, c1 in self.terms:
@@ -74,43 +68,9 @@ class LaurentPoly:
             out = out * self
         return out
 
-    def shift(self, exponent: int) -> "LaurentPoly":
-        """Multiply by the monomial A^exponent."""
-        return LaurentPoly(tuple((e + exponent, c) for e, c in self.terms))
-
     def mirror(self) -> "LaurentPoly":
         """Apply A -> A^-1 (the effect of mirroring a link diagram)."""
         return LaurentPoly.from_dict({-e: c for e, c in self.terms})
-
-    def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ValueError if the division leaves a remainder."""
-        if not divisor:
-            raise ZeroDivisionError("division by zero polynomial")
-        if not self:
-            return ZERO
-        rem = dict(self.terms)
-        lead_e, lead_c = divisor.terms[0]
-        # any exact quotient has exponents no lower than this
-        floor = min(e for e, _ in self.terms) - divisor.terms[-1][0]
-        quot: dict[int, int] = {}
-        while rem:
-            e = max(rem)
-            c = rem[e]
-            qe, qc = e - lead_e, c // lead_c
-            if c % lead_c != 0 or qe < floor:
-                raise ValueError(f"inexact division: {self} by {divisor}")
-            quot[qe] = quot.get(qe, 0) + qc
-            for de, dc in divisor.terms:
-                k = de + qe
-                nv = rem.get(k, 0) - dc * qc
-                if nv:
-                    rem[k] = nv
-                else:
-                    rem.pop(k, None)
-        return LaurentPoly.from_dict(quot)
-
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -142,9 +102,6 @@ LOOP = LaurentPoly.from_dict({2: -1, -2: -1})
 
 #: Writhe-normalisation unit:  -A^3.
 NEG_A3 = LaurentPoly.monomial(3, -1)
-
-#: Its inverse:  -A^-3  (note (-A^3)(-A^-3) = 1).
-NEG_A3_INV = LaurentPoly.monomial(-3, -1)
 
 
 def writhe_unit(power: int) -> LaurentPoly:

@@ -72,19 +72,6 @@ class PageMatching:
     def __contains__(self, arc: Arc) -> bool:
         return arc in self.arcs
 
-    def is_matching(self) -> bool:
-        seen: set[int] = set()
-        for i, j in self.arcs:
-            if i in seen or j in seen:
-                return False
-            seen.update((i, j))
-        return True
-
-    def is_noncrossing(self) -> bool:
-        return not any(arcs_interleave(a, b)
-                       for x, a in enumerate(self.arcs)
-                       for b in self.arcs[x + 1:])
-
 
 class PlacedArc(NamedTuple):
     """An arc together with the page (0, 1 or 2) carrying it."""
@@ -154,6 +141,16 @@ class ThreePagePresentation:
         return (self.n, tuple(pg.arcs for pg in self.pages))
 
 
+def _json_arcs(page: object) -> list[tuple[int, int]]:
+    """The arcs of one JSON page, a list of [int, int] pairs."""
+    if not isinstance(page, list) or not all(
+            isinstance(a, list) and len(a) == 2 and all(type(x) is int for x in a)
+            for a in page):
+        raise ParseError(f"bad JSON page {json.dumps(page)}: expected a list "
+                         "of [int, int] arcs")
+    return [(i, j) for i, j in page]
+
+
 def parse(text: str) -> ThreePagePresentation:
     """Parse the native text format or its JSON mirror (auto-detected)."""
     s = text.strip()
@@ -166,11 +163,9 @@ def parse(text: str) -> ThreePagePresentation:
             p1, p2, p3 = obj["pages"]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad JSON presentation: {exc}") from exc
-        if not isinstance(n, int):
-            raise ParseError("n must be an integer")
-        return ThreePagePresentation.of(n, [tuple(a) for a in p1],
-                                        [tuple(a) for a in p2],
-                                        [tuple(a) for a in p3])
+        if type(n) is not int:  # bool is an int subclass; reject it too
+            raise ParseError(f"n must be an integer, got {json.dumps(n)}")
+        return ThreePagePresentation.of(n, *map(_json_arcs, (p1, p2, p3)))
     s = re.sub(r"\s+", "", s)
     fields = [f for f in s.split(";") if f]
     if len(fields) != 4:

@@ -90,7 +90,8 @@ def noncrossing_matchings(points: Sequence[int],
                           must_cover: frozenset[int] = frozenset(),
                           ) -> Iterator[tuple[Arc, ...]]:
     """All non-crossing partial matchings of an increasing point sequence,
-    required to cover every point of ``must_cover``."""
+    required to cover every point of ``must_cover``; covering every point
+    gives the perfect matchings (none for an odd count)."""
     if not points:
         yield ()
         return
@@ -102,21 +103,6 @@ def noncrossing_matchings(points: Sequence[int],
         for m_in in noncrossing_matchings(inside, must_cover):
             for m_out in noncrossing_matchings(outside, must_cover):
                 yield ((first, other),) + m_in + m_out
-
-
-def noncrossing_perfect_matchings(points: Sequence[int]) -> Iterator[tuple[Arc, ...]]:
-    """Non-crossing pairings using every point (empty sequence yields one)."""
-    if not points:
-        yield ()
-        return
-    if len(points) % 2:
-        return
-    first = points[0]
-    for k in range(1, len(points), 2):
-        inside, outside = points[1:k], points[k + 1:]
-        for m_in in noncrossing_perfect_matchings(inside):
-            for m_out in noncrossing_perfect_matchings(outside):
-                yield ((first, points[k]),) + m_in + m_out
 
 
 def _component_sizes(pages: Sequence[tuple[Arc, ...]]) -> list[int]:
@@ -183,7 +169,8 @@ def enumerate_presentations(c: SearchConstraints,
             options3 = page3_options.get(deficit)
             if options3 is None:
                 options3 = page3_options[deficit] = [
-                    (m3, flip_page(n, m3)) for m3 in noncrossing_perfect_matchings(deficit)]
+                    (m3, flip_page(n, m3))
+                    for m3 in noncrossing_matchings(deficit, frozenset(deficit))]
             for m3, f3 in options3:
                 if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
                     continue
@@ -302,7 +289,7 @@ def refute_t33_at_9(max_n: Optional[int] = None) -> RefutationReport:
     examined = 0
     linking_candidates = 0
     witnesses: list[ThreePagePresentation] = []
-    for pres in enumerate_presentations(constraints, max_n if max_n else 9):
+    for pres in enumerate_presentations(constraints, 9 if max_n is None else max_n):
         examined += 1
         if abs_linking_multiset(project(pres)) != target.abs_linking:
             continue

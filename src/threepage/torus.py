@@ -156,11 +156,6 @@ class BoundsReport:
     upper_tight: Optional[int]
     exact: Optional[int]
 
-    @property
-    def relations(self) -> tuple[str, ...]:
-        return ("arc_index <= three_page_index",
-                "bridge_bound <= three_page_index")
-
 
 def bounds(p: int, q: int) -> BoundsReport:
     """All torus bounds for normalised parameters (2 <= p <= q)."""

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .diagram import CrossingTuple, Dart, PlanarDiagram, faces, is_planar
+from threepage.diagram import (CrossingTuple, Dart, PlanarDiagram, _incidences,
+                               faces, is_planar)
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,6 @@ _CURL_SLOTS = ((0, 1), (1, 2), (2, 3), (0, 3))
 def _fresh_edges(d: PlanarDiagram, k: int) -> list[int]:
     top = max((e for t in d.crossings for e in t), default=-1)
     return list(range(top + 1, top + 1 + k))
-
-
-def _incidence_map(d: PlanarDiagram) -> dict[int, list[tuple[int, int]]]:
-    out: dict[int, list[tuple[int, int]]] = {}
-    for c, t in enumerate(d.crossings):
-        for s, e in enumerate(t):
-            out.setdefault(e, []).append((c, s))
-    return out
 
 
 def _replace_at(crossings: list[CrossingTuple], inc: tuple[int, int],
@@ -127,7 +120,7 @@ def _apply_r1_insert(d: PlanarDiagram, site: R1Insert) -> PlanarDiagram:
         e, loop = _fresh_edges(d, 2)
         kink = (e, e, loop, loop) if site.positive else (e, loop, loop, e)
         return PlanarDiagram(tuple(crossings) + (kink,), d.free_loops - 1)
-    inc = _incidence_map(d).get(site.edge)
+    inc = _incidences(d).get(site.edge)
     if not inc:
         raise ValueError(f"edge {site.edge} not in diagram")
     tail, loop = _fresh_edges(d, 2)
@@ -149,7 +142,7 @@ def _apply_r1_remove(d: PlanarDiagram, site: R1Remove) -> PlanarDiagram:
 
 
 def _other_incidence(d: PlanarDiagram, edge: int, inc: tuple[int, int]) -> tuple[int, int]:
-    a, b = _incidence_map(d)[edge]
+    a, b = _incidences(d)[edge]
     return b if a == inc else a
 
 
@@ -211,7 +204,7 @@ def r2_removal_sites(d: PlanarDiagram) -> list[R2Remove]:
         e2 = d.crossings[c2][s2]
         if e1 == e2:
             continue
-        inc = _incidence_map(d)
+        inc = _incidences(d)
         parities = {e: {s % 2 for _, s in inc[e]} for e in (e1, e2)}
         if ({0} in parities.values()) and ({1} in parities.values()):
             sites.append(R2Remove(((c1, s1), (c2, s2))))
@@ -229,7 +222,7 @@ def _apply_r2_remove(d: PlanarDiagram, site: R2Remove) -> PlanarDiagram:
 
 def r3_sites(d: PlanarDiagram) -> list[R3Slide]:
     sites = []
-    inc = _incidence_map(d)
+    inc = _incidences(d)
     for face in faces(d):
         if len(face) != 3:
             continue
@@ -264,7 +257,7 @@ def _apply_r3(d: PlanarDiagram, site: R3Slide) -> PlanarDiagram:
     e_s = d.crossings[dart_s[0]][dart_s[1]]
     e_n = d.crossings[dart_n[0]][dart_n[1]]
     e_m = d.crossings[dart_m[0]][dart_m[1]]
-    inc = _incidence_map(d)
+    inc = _incidences(d)
     s_at_p = next(s for c, s in inc[e_s] if c == cp)
     s_at_q = next(s for c, s in inc[e_s] if c == cq)
     n_at_r = next(s for c, s in inc[e_n] if c == cr)

@@ -2,6 +2,8 @@ import io
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from threepage.cli import main
 from threepage.torus import HOPF
 
@@ -68,6 +70,19 @@ def test_malformed_input_is_usage_error(monkeypatch):
                        monkeypatch=monkeypatch)
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("n, arc, message", [
+    ("3", "[1,2,3]", "bad JSON page [[1, 2, 3]]"),
+    ("3", '["a","b"]', 'bad JSON page [["a", "b"]]'),
+    ("3", "[1,null]", "bad JSON page [[1, null]]"),
+    ("3", "[1.5,2]", "bad JSON page [[1.5, 2]]"),
+    ("true", "[1,2]", "n must be an integer, got true")])
+def test_malformed_json_is_usage_error(monkeypatch, n, arc, message):
+    text = f'{{"n": {n}, "pages": [[{arc}], [[2,3]], [[1,3]]]}}'
+    code, out, err = run(["validate", "-"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: parse error: {message}")
 
 
 def test_components_output(monkeypatch):

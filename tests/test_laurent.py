@@ -45,13 +45,6 @@ def test_mirror_involution():
     assert p.mirror().mirror() == p
 
 
-def test_divide_exact_roundtrip():
-    p = LaurentPoly.from_dict({5: 1, 2: -3, -4: 7})
-    assert (p * LOOP).divide_exact(LOOP) == p
-    with pytest.raises(ValueError):
-        ONE.divide_exact(LOOP)
-
-
 def test_t_variable_knot_and_link():
     trefoil = LaurentPoly.from_dict({-4: 1, -12: 1, -16: -1})
     assert in_t_variable(trefoil) == "-t^4 + t^3 + t"
@@ -75,8 +68,3 @@ def test_mirror_is_ring_map(a):
     b = LaurentPoly.from_dict({2: 1, -1: 3})
     assert (a * b).mirror() == a.mirror() * b.mirror()
     assert (a + b).mirror() == a.mirror() + b.mirror()
-
-
-@given(polys)
-def test_exact_division_by_loop(a):
-    assert (a * LOOP).divide_exact(LOOP) == a

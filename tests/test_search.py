@@ -8,8 +8,7 @@ from threepage.presentation import (canonicalize, detect_split_pair, insert_kink
 from threepage.search import (InvalidSearchLimit, SearchConstraints,
                               SearchLimitExceeded, census,
                               enumerate_presentations, noncrossing_matchings,
-                              noncrossing_perfect_matchings, search_limit,
-                              three_page_index)
+                              refute_t33_at_9, search_limit, three_page_index)
 from threepage.torus import UNKNOT_TRIANGLE, closure_profile
 
 from util import (naive_noncrossing_matchings, naive_valid_presentations,
@@ -49,8 +48,8 @@ def test_matching_generators_agree_with_naive_oracle():
 def test_perfect_matchings_catalan_counts():
     for pts, want in (((), 1), ((1, 2), 1), ((1, 2, 3, 4), 2),
                       ((1, 2, 3, 4, 5, 6), 5), (tuple(range(1, 9)), 14)):
-        assert len(list(noncrossing_perfect_matchings(pts))) == want
-    assert list(noncrossing_perfect_matchings((1, 2, 3))) == []
+        assert len(list(noncrossing_matchings(pts, frozenset(pts)))) == want
+    assert list(noncrossing_matchings((1, 2, 3), frozenset((1, 2, 3)))) == []
 
 
 def test_enumeration_matches_naive_oracle_up_to_symmetry():
@@ -171,6 +170,12 @@ def test_bad_search_limits_are_rejected(monkeypatch):
     monkeypatch.delenv("THREEPAGE_MAX_N")
     with pytest.raises(InvalidSearchLimit, match="max_n"):
         search_limit(-3)
+
+
+def test_refute_rejects_zero_max_n():
+    # 0 is a bad limit like any other, not a request for the default of 9
+    with pytest.raises(InvalidSearchLimit, match="got 0"):
+        refute_t33_at_9(max_n=0)
 
 
 def test_constraint_consistency_check():

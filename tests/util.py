@@ -17,8 +17,7 @@ from typing import Iterator
 
 from threepage.presentation import (ThreePagePresentation, arcs_interleave,
                                     components, is_canonical, validate)
-from threepage.search import (SearchConstraints, noncrossing_matchings,
-                              noncrossing_perfect_matchings)
+from threepage.search import SearchConstraints, noncrossing_matchings
 
 # -- geometric semicircle oracle -------------------------------------------------
 #
@@ -160,7 +159,7 @@ def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
             deficit = tuple(pt for pt in points if degree[pt] == 1)
             if not deficit or len(m1) + len(m2) + len(deficit) // 2 != n:
                 continue
-            for m3 in noncrossing_perfect_matchings(deficit):
+            for m3 in noncrossing_matchings(deficit, frozenset(deficit)):
                 if len(m3) < min_page:
                     continue
                 if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
