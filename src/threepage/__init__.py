@@ -13,10 +13,10 @@ from .invariants import (CrossingLimitError, InvariantProfile, bracket_skein,
                          profile, trivial_profile)
 from .laurent import LOOP, ONE, LaurentPoly, in_t_variable
 from .presentation import (ComponentDecomposition, InvalidPresentationError,
-                           PageMatching, ParseError, PlacedArc,
-                           ThreePagePresentation, ValidationReport, canonicalize,
-                           components, detect_split_pair, insert_kink,
-                           is_canonical, parse, symmetry_orbit, validate)
+                           ParseError, PlacedArc, ThreePagePresentation,
+                           ValidationReport, canonicalize, components,
+                           detect_split_pair, insert_kink, is_canonical, parse,
+                           symmetry_orbit, validate)
 from .render import RenderSpec, render, render_ascii, render_svg
 from .search import (CensusEntry, IndexSearchResult, InvalidSearchLimit,
                      RefutationReport, SearchConstraints, SearchLimitExceeded,

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .braids import BraidWord
-from .presentation import (Arc, PlacedArc, ThreePagePresentation,
-                           arcs_interleave, components)
+from .presentation import (ThreePagePresentation, arcs_interleave, components,
+                           require_valid, walk_components)
 
 CrossingTuple = tuple[int, int, int, int]
 
@@ -94,49 +93,37 @@ class Trace:
     edge_component: dict[int, int] = field(hash=False)
     #: edge -> (tail incidence, head incidence) along the base direction
     edge_direction: dict[int, tuple[Incidence, Incidence]] = field(hash=False)
-    #: per crossing: sign under the base orientation
-    base_signs: tuple[int, ...] = ()
-    #: per crossing: (under component, over component)
-    crossing_components: tuple[tuple[int, int], ...] = ()
+    #: under the base orientation: [i][i] is the signed sum of component i's
+    #: self-crossings, [i][j] is lk(i, j)
+    matrix: tuple[tuple[int, ...], ...]
 
     def orientations(self) -> Iterator[Orientation]:
         for flips in itertools.product((False, True), repeat=self.component_count):
             yield Orientation(flips)
 
-    def _signed_crossings(self, o: Orientation) -> Iterator[tuple[int, int, int]]:
-        """Yield (sign, under component, over component) per crossing under o."""
+    def _signs(self, o: Orientation) -> list[int]:
+        """+1 or -1 per component: its direction under o against the base."""
         if len(o.flips) != self.component_count:
             raise ValueError(f"orientation has {len(o.flips)} flips for "
                              f"{self.component_count} components")
-        for base, (cu, co) in zip(self.base_signs, self.crossing_components):
-            s = base
-            if o.flips[cu]:
-                s = -s
-            if o.flips[co]:
-                s = -s
-            yield s, cu, co
+        return [-1 if f else 1 for f in o.flips]
 
     def writhe(self, o: Orientation) -> int:
-        return sum(s for s, _, _ in self._signed_crossings(o))
+        # a crossing's sign flips with each of its two strands' components
+        e = self._signs(o)
+        return sum(ei * ej * w for ei, row in zip(e, self.matrix)
+                   for ej, w in zip(e, row))
 
     def linking_matrix(self, o: Orientation) -> tuple[tuple[int, ...], ...]:
-        k = self.component_count
-        acc = [[0] * k for _ in range(k)]
-        for s, cu, co in self._signed_crossings(o):
-            if cu != co:
-                acc[cu][co] += s
-                acc[co][cu] += s
-        for i in range(k):
-            for j in range(k):
-                if acc[i][j] % 2 != 0:
-                    raise AssertionError("inter-component crossings must pair up")
-                acc[i][j] //= 2
-        return tuple(tuple(row) for row in acc)
+        e = self._signs(o)
+        return tuple(tuple(0 if i == j else ei * ej * w
+                           for j, (ej, w) in enumerate(zip(e, row)))
+                     for i, (ei, row) in enumerate(zip(e, self.matrix)))
 
     def abs_linking(self) -> tuple[int, ...]:
         k = self.component_count
-        mat = self.linking_matrix(Orientation.base(k))
-        return tuple(sorted(abs(mat[i][j]) for i in range(k) for j in range(i + 1, k)))
+        return tuple(sorted(abs(self.matrix[i][j])
+                            for i in range(k) for j in range(i + 1, k)))
 
 
 def _incidences(d: PlanarDiagram) -> dict[int, list[Incidence]]:
@@ -169,15 +156,19 @@ def trace(d: PlanarDiagram) -> Trace:
             if e == e0 and tail == inc[e0][0]:
                 break
         traced += 1
-    signs: list[int] = []
-    crossing_comps: list[tuple[int, int]] = []
+    k = traced + d.free_loops
+    matrix = [[0] * k for _ in range(k)]  # [under][over] signed crossing sums
     for c, t in enumerate(d.crossings):
         under_in_0 = edge_direction[t[0]][1] == (c, 0)
         over_in_3 = edge_direction[t[3]][1] == (c, 3)
-        signs.append((1 if under_in_0 else -1) * (1 if over_in_3 else -1))
-        crossing_comps.append((edge_component[t[0]], edge_component[t[1]]))
-    return Trace(traced + d.free_loops, edge_component, edge_direction,
-                 tuple(signs), tuple(crossing_comps))
+        matrix[edge_component[t[0]]][edge_component[t[1]]] += (
+            1 if under_in_0 == over_in_3 else -1)
+    for i, j in itertools.combinations(range(k), 2):
+        between = matrix[i][j] + matrix[j][i]
+        if between % 2 != 0:
+            raise AssertionError("inter-component crossings must pair up")
+        matrix[i][j] = matrix[j][i] = between // 2
+    return Trace(k, edge_component, edge_direction, tuple(map(tuple, matrix)))
 
 
 def component_count(d: PlanarDiagram) -> int:
@@ -206,80 +197,59 @@ def abs_linking_multiset(d: PlanarDiagram) -> tuple[int, ...]:
 # -- projection of a three-page presentation ---------------------------------
 
 
-def crossing_position(under: Arc, over: Arc) -> Fraction:
-    """Exact x-coordinate where the two upper semicircles intersect."""
-    m1, r1 = Fraction(under[0] + under[1], 2), Fraction(under[1] - under[0], 2)
-    m2, r2 = Fraction(over[0] + over[1], 2), Fraction(over[1] - over[0], 2)
-    return (r1 * r1 - r2 * r2 + m2 * m2 - m1 * m1) / (2 * (m2 - m1))
-
-
 def project(p: ThreePagePresentation) -> PlanarDiagram:
     """Project a presentation to a diagram under the fixed page convention.
 
     Page-2 arcs stay crossing-free below the axis; every interleaving
     (page-1, page-3) pair contributes one crossing with page 3 on top.
+    The page-3 arcs crossing one page-1 arc bound nested or disjoint
+    half-disks, so they do not cross each other and each has exactly one
+    endpoint inside it; along the page-1 arc they come in the order of
+    those inner endpoints.  The same holds with the pages swapped.
     """
-    comp = components(p)
-    under_arcs = p.pages[0].arcs
-    over_arcs = p.pages[2].arcs
-    pairs = [(u, v) for u in under_arcs for v in over_arcs if arcs_interleave(u, v)]
-    pairs.sort()
-    index = {pair: k for k, pair in enumerate(pairs)}
-    events: dict[PlacedArc, list[tuple[Fraction, int]]] = {}
-    for u, v in pairs:
-        x = crossing_position(u, v)
-        events.setdefault(PlacedArc(0, u), []).append((x, index[(u, v)]))
-        events.setdefault(PlacedArc(2, v), []).append((x, index[(u, v)]))
-    for ev in events.values():
+    require_valid(p)
+    pairs = [(u, v) for u in p.pages[0] for v in p.pages[2] if arcs_interleave(u, v)]
+    # per arc: (inner endpoint of the crossing arc, crossing, slot toward the
+    # left end, slot toward the right end).  The ccw slot order at a crossing
+    # of (a,b) under (c,d) is under-left, over-left, under-right, over-right
+    # when a < c, with the over slots swapped when c < a.
+    along: dict[tuple[int, tuple[int, int]], list[tuple[int, int, int, int]]] = {}
+    for k, (u, v) in enumerate(pairs):
+        if u[0] < v[0]:
+            along.setdefault((0, u), []).append((v[0], k, 0, 2))
+            along.setdefault((2, v), []).append((u[1], k, 1, 3))
+        else:
+            along.setdefault((0, u), []).append((v[1], k, 0, 2))
+            along.setdefault((2, v), []).append((u[0], k, 3, 1))
+    # per walk step (point, page, next point): (crossing, slot) in walk
+    # order, alternating incoming and outgoing slots
+    attach: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for (page, (a, b)), ev in along.items():
         ev.sort()
+        attach[(a, page, b)] = [(k, s) for _, k, left, right in ev for s in (left, right)]
+        attach[(b, page, a)] = [(k, s) for _, k, left, right in reversed(ev)
+                                for s in (right, left)]
 
-    # slot of each (crossing, role, branch); branch 0 is toward the arc's
-    # left endpoint.  The ccw order at a crossing of upper semicircles
-    # (a,b) under and (c,d) over is (under-left, over-left, under-right,
-    # over-right) when a < c, with the over slots swapped when c < a.
-    def slot(pair: tuple[Arc, Arc], role: int, branch: int) -> int:
-        under, over = pair
-        if role == 0:
-            return 0 if branch == 0 else 2
-        if under[0] < over[0]:
-            return 1 if branch == 0 else 3
-        return 3 if branch == 0 else 1
-
-    slots: dict[int, dict[int, int]] = {k: {} for k in index.values()}
+    slots = [[0] * 4 for _ in pairs]
     free_loops = 0
     next_edge = 0
     walk_heads: list[Optional[tuple[int, Incidence]]] = []
-    for cycle, points in zip(comp.cycles, comp.point_cycles):
-        attachments: list[tuple[int, int]] = []  # (crossing, slot) in walk order
-        for pa, entry_point in zip(cycle, points):
-            ev = events.get(pa, [])
-            forward = entry_point == pa.arc[0]
-            ordered = ev if forward else list(reversed(ev))
-            role = 0 if pa.page == 0 else 2
-            for _, cross in ordered:
-                pair = pairs[cross]
-                b_in, b_out = (0, 1) if forward else (1, 0)
-                attachments.append((cross, slot(pair, role, b_in)))
-                attachments.append((cross, slot(pair, role, b_out)))
+    for walk in walk_components(p.n, p.pages):
+        attachments = [a for step in walk for a in attach.get(step, ())]
         if not attachments:
             free_loops += 1
             walk_heads.append(None)
             continue
-        # attachments alternate (incoming slot, outgoing slot); the edge
-        # between event t and event t+1 joins outgoing slot of t with
-        # incoming slot of t+1, cyclically.
+        # the edge between event t and event t+1 joins the outgoing slot of
+        # t with the incoming slot of t+1, cyclically
         m = len(attachments) // 2
         walk_heads.append((next_edge, attachments[2 % (2 * m)]))
         for t in range(m):
-            out_at = attachments[2 * t + 1]
-            in_at = attachments[(2 * t + 2) % (2 * m)]
-            e = next_edge
+            for c, s in (attachments[2 * t + 1], attachments[(2 * t + 2) % (2 * m)]):
+                slots[c][s] = next_edge
             next_edge += 1
-            slots[out_at[0]][out_at[1]] = e
-            slots[in_at[0]][in_at[1]] = e
-    crossings = tuple((slots[k][0], slots[k][1], slots[k][2], slots[k][3])
-                      for k in range(len(pairs)))
-    return PlanarDiagram(crossings, free_loops, tuple(walk_heads) or None)
+    return PlanarDiagram(tuple(map(tuple, slots)), free_loops,  # type: ignore[arg-type]
+                         tuple(walk_heads) or None)
 
 
 def orientation_from_point_cycles(p: ThreePagePresentation, d: PlanarDiagram,

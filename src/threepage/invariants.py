@@ -235,7 +235,7 @@ def jones_set(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> frozense
 
 def _jones_set(d: PlanarDiagram, tr: Trace, limit: int) -> frozenset[LaurentPoly]:
     b = bracket_skein(d, limit)
-    return frozenset(writhe_unit(-tr.writhe(o)) * b for o in tr.orientations())
+    return frozenset(writhe_unit(-w) * b for w in {tr.writhe(o) for o in tr.orientations()})
 
 
 def mirror_set(polys: frozenset[LaurentPoly]) -> frozenset[LaurentPoly]:

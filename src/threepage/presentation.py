@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 Arc = tuple[int, int]
+PageTriple = tuple[tuple[Arc, ...], tuple[Arc, ...], tuple[Arc, ...]]
 
 
 class ParseError(ValueError):
@@ -41,36 +42,15 @@ def _normalize_arc(i: int, j: int) -> Arc:
     return (i, j) if i < j else (j, i)
 
 
+def _page(arcs: Iterable[tuple[int, int]]) -> tuple[Arc, ...]:
+    """One page as a sorted, duplicate-free tuple of normalised arcs."""
+    return tuple(sorted({_normalize_arc(i, j) for i, j in arcs}))
+
+
 def arcs_interleave(a: Arc, b: Arc) -> bool:
     """True iff the chords a, b interleave (cross when drawn in a half-plane)."""
     (i, j), (k, l) = a, b
     return i < k < j < l or k < i < l < j
-
-
-@dataclass(frozen=True)
-class PageMatching:
-    """The arcs of one page: a partial matching of the binding points.
-
-    Stored sorted, which makes the representation canonical.  Invariants
-    (disjointness and non-crossing) are *checked by validate()*, not enforced
-    here, because the search engine and the parser need to hold candidate
-    data that may violate them.
-    """
-
-    arcs: tuple[Arc, ...] = ()
-
-    @staticmethod
-    def of(arcs: Iterable[tuple[int, int]]) -> "PageMatching":
-        return PageMatching(tuple(sorted({_normalize_arc(i, j) for i, j in arcs})))
-
-    def __len__(self) -> int:
-        return len(self.arcs)
-
-    def __iter__(self) -> Iterator[Arc]:
-        return iter(self.arcs)
-
-    def __contains__(self, arc: Arc) -> bool:
-        return arc in self.arcs
 
 
 class PlacedArc(NamedTuple):
@@ -82,14 +62,17 @@ class PlacedArc(NamedTuple):
 
 @dataclass(frozen=True)
 class ThreePagePresentation:
-    """n binding points plus an ordered triple of page matchings.
+    """n binding points plus an ordered triple of pages, each a sorted tuple
+    of arcs (i, j) with i < j.
 
+    ``of`` normalises its input; the constructor takes pages in that form
+    as they are.  Validity is checked by validate(), not enforced here.
     Page order is the cyclic order of the half-planes around the binding
     axis; points are 1-indexed along the axis.
     """
 
     n: int
-    pages: tuple[PageMatching, PageMatching, PageMatching]
+    pages: PageTriple
 
     @staticmethod
     def of(n: int,
@@ -98,11 +81,15 @@ class ThreePagePresentation:
            p3: Iterable[tuple[int, int]]) -> "ThreePagePresentation":
         if n < 1:
             raise ParseError(f"point count must be positive, got {n}")
-        pages = (PageMatching.of(p1), PageMatching.of(p2), PageMatching.of(p3))
+        pages = (_page(p1), _page(p2), _page(p3))
         for pg in pages:
             for i, j in pg:
                 if not (1 <= i <= n and 1 <= j <= n):
                     raise ParseError(f"arc {i}-{j} out of range for n={n}")
+        arcs = sum(map(len, pages))
+        if n > 2 * arcs:
+            raise ParseError(f"n={n} exceeds twice the arc count {arcs}, "
+                             "so some point meets no arc")
         return ThreePagePresentation(n, pages)
 
     def placed_arcs(self) -> Iterator[PlacedArc]:
@@ -125,20 +112,20 @@ class ThreePagePresentation:
         """Native one-line text form, e.g. ``n=3; P1:1-2; P2:2-3; P3:1-3``."""
         chunks = [f"n={self.n}"]
         for k, pg in enumerate(self.pages, start=1):
-            body = ",".join(f"{i}-{j}" for i, j in pg.arcs)
+            body = ",".join(f"{i}-{j}" for i, j in pg)
             chunks.append(f"P{k}:{body}")
         return "; ".join(chunks)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n,
-                           "pages": [[[i, j] for i, j in pg.arcs] for pg in self.pages]},
+                           "pages": [[[i, j] for i, j in pg] for pg in self.pages]},
                           separators=(",", ":"))
 
     def __str__(self) -> str:
         return self.serialize()
 
     def sort_key(self) -> tuple:
-        return (self.n, tuple(pg.arcs for pg in self.pages))
+        return (self.n, self.pages)
 
 
 def _json_arcs(page: object) -> list[tuple[int, int]]:
@@ -254,10 +241,10 @@ def validate(p: ThreePagePresentation) -> ValidationReport:
     """
     violations: list[Violation] = []
     for page, matching in enumerate(p.pages):
-        if not matching.arcs:
+        if not matching:
             violations.append(PageEmpty(page))
-        for x, a in enumerate(matching.arcs):
-            for b in matching.arcs[x + 1:]:
+        for x, a in enumerate(matching):
+            for b in matching[x + 1:]:
                 shared = set(a) & set(b)
                 if shared:
                     violations.append(EndpointShared(page, min(shared), a, b))
@@ -297,39 +284,49 @@ class ComponentDecomposition:
         return len(self.cycles)
 
 
-def components(p: ThreePagePresentation) -> ComponentDecomposition:
-    """Decompose a valid presentation into its link components.
+Step = tuple[int, int, int]  # (point, page, next point)
 
-    Traversal is deterministic: each cycle starts at its smallest binding
-    point, leaving along the arc on the lower-indexed page.
+
+def walk_components(n: int, pages: PageTriple) -> list[tuple[Step, ...]]:
+    """The link components of a valid presentation as walks along its arcs.
+
+    Each walk starts at its smallest binding point, leaves it on the lower
+    of its two pages and, at every later point, leaves on the page it did
+    not arrive on.  No validation: every point must meet two arcs on two
+    distinct pages.
     """
-    require_valid(p)
-    at_point: dict[int, list[PlacedArc]] = {pt: [] for pt in range(1, p.n + 1)}
-    for pa in p.placed_arcs():
-        at_point[pa.arc[0]].append(pa)
-        at_point[pa.arc[1]].append(pa)
-    for pt in at_point:
-        at_point[pt].sort()
-    visited: set[PlacedArc] = set()
-    cycles: list[tuple[PlacedArc, ...]] = []
-    point_cycles: list[tuple[int, ...]] = []
-    for start in range(1, p.n + 1):
-        first = next((pa for pa in at_point[start] if pa not in visited), None)
-        if first is None:
+    ends: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for page, arcs in enumerate(pages):
+        for i, j in arcs:
+            ends[i].append((page, j))
+            ends[j].append((page, i))
+    seen = [False] * (n + 1)
+    walks: list[tuple[Step, ...]] = []
+    for start in range(1, n + 1):
+        if seen[start]:
             continue
-        walk: list[PlacedArc] = []
-        points: list[int] = []
-        point, pa = start, first
-        while pa not in visited:
-            visited.add(pa)
-            walk.append(pa)
-            points.append(point)
-            point = pa.arc[1] if pa.arc[0] == point else pa.arc[0]
-            nxt = [q for q in at_point[point] if q != pa]
-            pa = nxt[0]
-        cycles.append(tuple(walk))
-        point_cycles.append(tuple(points))
-    return ComponentDecomposition(tuple(cycles), tuple(point_cycles))
+        walk: list[Step] = []
+        point, (page, nxt) = start, ends[start][0]
+        while True:
+            seen[point] = True
+            walk.append((point, page, nxt))
+            if nxt == start:
+                break
+            a, b = ends[nxt]
+            point, (page, nxt) = nxt, (b if a[0] == page else a)
+        walks.append(tuple(walk))
+    return walks
+
+
+def components(p: ThreePagePresentation) -> ComponentDecomposition:
+    """Decompose a valid presentation into its link components, in the
+    order and direction of ``walk_components``."""
+    require_valid(p)
+    walks = walk_components(p.n, p.pages)
+    return ComponentDecomposition(
+        tuple(tuple(PlacedArc(page, (min(x, y), max(x, y))) for x, page, y in walk)
+              for walk in walks),
+        tuple(tuple(x for x, _, _ in walk) for walk in walks))
 
 
 def detect_split_pair(p: ThreePagePresentation) -> Optional[tuple[PlacedArc, PlacedArc]]:
@@ -356,9 +353,6 @@ def flip_page(n: int, arcs: tuple[Arc, ...]) -> tuple[Arc, ...]:
     return tuple(sorted((n + 1 - j, n + 1 - i) for i, j in arcs))
 
 
-PageTriple = tuple[tuple[Arc, ...], tuple[Arc, ...], tuple[Arc, ...]]
-
-
 def orbit_images(pages: PageTriple, flipped: PageTriple) -> tuple[PageTriple, ...]:
     """The six images of a page triple under page rotation and point reversal.
 
@@ -376,34 +370,28 @@ def orbit_images(pages: PageTriple, flipped: PageTriple) -> tuple[PageTriple, ..
 
 
 def _images(p: ThreePagePresentation) -> tuple[PageTriple, ...]:
-    pages = tuple(pg.arcs for pg in p.pages)
-    return orbit_images(pages, tuple(flip_page(p.n, a) for a in pages))  # type: ignore[arg-type]
-
-
-def from_page_arcs(n: int, pages: PageTriple) -> ThreePagePresentation:
-    """Presentation from three sorted arc tuples, with no further checks."""
-    return ThreePagePresentation(n, tuple(PageMatching(a) for a in pages))  # type: ignore[arg-type]
+    return orbit_images(p.pages, tuple(flip_page(p.n, a) for a in p.pages))  # type: ignore[arg-type]
 
 
 def rotate_pages(p: ThreePagePresentation, k: int) -> ThreePagePresentation:
     """Rotate the cyclic page order so that page k + 1 comes first."""
-    return from_page_arcs(p.n, _images(p)[k % 3])
+    return ThreePagePresentation(p.n, _images(p)[k % 3])
 
 
 def reverse_points(p: ThreePagePresentation) -> ThreePagePresentation:
     """Reverse the point order together with the cyclic page order."""
-    return from_page_arcs(p.n, _images(p)[3])
+    return ThreePagePresentation(p.n, _images(p)[3])
 
 
 def symmetry_orbit(p: ThreePagePresentation) -> Iterator[ThreePagePresentation]:
     """The six images of p, in the order of ``orbit_images``."""
     for pages in _images(p):
-        yield from_page_arcs(p.n, pages)
+        yield ThreePagePresentation(p.n, pages)
 
 
 def canonicalize(p: ThreePagePresentation) -> ThreePagePresentation:
     """Lexicographically smallest member of the order-6 symmetry orbit."""
-    return from_page_arcs(p.n, min(_images(p)))
+    return ThreePagePresentation(p.n, min(_images(p)))
 
 
 def is_canonical(p: ThreePagePresentation) -> bool:

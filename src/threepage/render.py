@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .diagram import crossing_position
-from .presentation import ThreePagePresentation, arcs_interleave, require_valid
+from .presentation import Arc, ThreePagePresentation, arcs_interleave, require_valid
 
 PAGE_COLORS = ("#1f6fb2", "#2f9e44", "#c92a2a")
 GAP_RADIANS = 0.18
@@ -39,6 +39,13 @@ def render(p: ThreePagePresentation, spec: RenderSpec = RenderSpec()) -> str:
     if spec.format == "svg":
         return render_svg(p, spec)
     return render_ascii(p, spec)
+
+
+def crossing_position(under: Arc, over: Arc) -> Fraction:
+    """Exact x-coordinate where the two upper semicircles intersect."""
+    m1, r1 = Fraction(under[0] + under[1], 2), Fraction(under[1] - under[0], 2)
+    m2, r2 = Fraction(over[0] + over[1], 2), Fraction(over[1] - over[0], 2)
+    return (r1 * r1 - r2 * r2 + m2 * m2 - m1 * m1) / (2 * (m2 - m1))
 
 
 def _fmt(x: float) -> str:
@@ -76,11 +83,11 @@ def render_svg(p: ThreePagePresentation, spec: RenderSpec = RenderSpec()) -> str
         return point * s
 
     # page 2 below, page 3 above; page 1 above with gaps at crossings
-    over_arcs = p.pages[2].arcs
+    over_arcs = p.pages[2]
     for page in (1, 2, 0):
         color = PAGE_COLORS[page]
         upper = page != 1
-        for (i, j) in p.pages[page].arcs:
+        for (i, j) in p.pages[page]:
             cx, r = (i + j) / 2 * s, (j - i) / 2 * s
             cuts: list[float] = []
             if page == 0:
@@ -114,7 +121,7 @@ def render_ascii(p: ThreePagePresentation, spec: RenderSpec = RenderSpec(format=
         return 2 * point - 1
 
     def band(page: int) -> list[str]:
-        arcs = sorted(p.pages[page].arcs, key=lambda a: (a[1] - a[0], a[0]))
+        arcs = sorted(p.pages[page], key=lambda a: (a[1] - a[0], a[0]))
         depth: dict[tuple[int, int], int] = {}
         for arc in arcs:
             inner = [depth[b] for b in arcs if b != arc

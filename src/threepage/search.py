@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .invariants import InvariantProfile, equal_up_to_mirror, profile
-from .presentation import (Arc, ThreePagePresentation, flip_page,
-                           from_page_arcs, orbit_images)
+from .presentation import Arc, ThreePagePresentation, flip_page, orbit_images
 
 DEFAULT_MAX_N = 10
 ENV_MAX_N = "THREEPAGE_MAX_N"
@@ -184,7 +183,7 @@ def enumerate_presentations(c: SearchConstraints,
                         continue
                     if c.min_arcs_per_component and min(sizes) < c.min_arcs_per_component:
                         continue
-                yield from_page_arcs(n, pages)
+                yield ThreePagePresentation(n, pages)
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,7 @@ def refute_t33_at_9(max_n: Optional[int] = None) -> RefutationReport:
     examined = 0
     linking_candidates = 0
     witnesses: list[ThreePagePresentation] = []
-    for pres in enumerate_presentations(constraints, 9 if max_n is None else max_n):
+    for pres in enumerate_presentations(constraints, max_n):
         examined += 1
         if abs_linking_multiset(project(pres)) != target.abs_linking:
             continue

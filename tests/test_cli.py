@@ -85,6 +85,18 @@ def test_malformed_json_is_usage_error(monkeypatch, n, arc, message):
     assert err.startswith(f"error: parse error: {message}")
 
 
+@pytest.mark.parametrize("text", [
+    "n=300000; P1:1-2; P2:2-3; P3:1-3",
+    '{"n": 300000, "pages": [[[1,2]], [[2,3]], [[1,3]]]}'])
+def test_point_count_beyond_twice_the_arcs_is_usage_error(monkeypatch, text):
+    # three arcs touch at most six points; the rest could only be reported
+    # one by one
+    code, out, err = run(["validate", "-"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err == ("error: parse error: n=300000 exceeds twice the arc count 3, "
+                   "so some point meets no arc\n")
+
+
 def test_components_output(monkeypatch):
     code, out, _ = run(["components", "-"], stdin_text=HOPF.serialize(),
                        monkeypatch=monkeypatch)
@@ -164,6 +176,29 @@ def test_non_integer_max_n_flag_is_usage_error(monkeypatch):
     code, _, err = run(["census", "--n", "3", "--max-n", "abc"])
     assert code == 2
     assert "argument --max-n: invalid int value: 'abc'" in err
+
+
+def test_refute_non_integer_env_limit_is_usage_error(monkeypatch):
+    monkeypatch.setenv("THREEPAGE_MAX_N", "abc")
+    code, out, err = run(["refute-t33"])
+    assert code == 2 and out == ""
+    assert err == run(["census", "--n", "3"])[2]
+    assert "THREEPAGE_MAX_N must be a positive integer, got 'abc'" in err
+
+
+def test_refute_env_limit_below_nine_is_domain_error(monkeypatch):
+    monkeypatch.setenv("THREEPAGE_MAX_N", "5")
+    code, out, err = run(["refute-t33"])
+    assert code == 1 and out == ""
+    assert "n=9 exceeds the search limit 5" in err
+
+
+def test_refute_without_env_limit(monkeypatch):
+    monkeypatch.delenv("THREEPAGE_MAX_N", raising=False)
+    code, out, _ = run(["refute-t33"])
+    assert code == 0
+    assert out.startswith("examined 500 presentations on 9 points")
+    assert "linking-compatible candidates: 0\n" in out
 
 
 def test_census_six_matches_golden_bytes(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,11 @@ from threepage.diagram import (Orientation, PlanarDiagram, abs_linking_multiset,
                                braid_closure_diagram, component_count,
                                disjoint_union, faces, is_planar, linking_matrix,
                                orientation_from_point_cycles, orientations,
-                               pd_export, project, writhe)
-from threepage.presentation import ThreePagePresentation, components
+                               pd_export, project, trace, writhe)
+from threepage.invariants import profile
+from threepage.presentation import ThreePagePresentation, arcs_interleave, components
+from threepage.render import crossing_position
+from threepage.search import SearchConstraints, enumerate_presentations
 from threepage.torus import HOPF, tnn
 
 from util import geometric_writhe_and_linking
@@ -89,13 +93,69 @@ def test_flipping_one_component_negates_its_rows(hopf):
 
 
 def test_geometric_oracle_agrees_on_constructions():
-    for pres in (tnn(2), tnn(3)):
-        decomp = components(pres)
+    # every orientation: each subset of the point cycles walked backwards
+    for pres in (HOPF, tnn(2), tnn(3), tnn(4)):
+        cycles = components(pres).point_cycles
+        k = len(cycles)
         d = project(pres)
-        o = orientation_from_point_cycles(pres, d, decomp.point_cycles)
-        geo_writhe, geo_lk = geometric_writhe_and_linking(
-            pres, list(decomp.point_cycles))
-        assert writhe(d, o) == geo_writhe
+        tr = trace(d)
+        # trace's component index of each point cycle
+        index = [tr.edge_component[head[0]] for head in d.walk_heads]
+        seen = set()
+        for mask in range(1 << k):
+            wanted = [tuple(reversed(c)) if mask >> i & 1 else c
+                      for i, c in enumerate(cycles)]
+            o = orientation_from_point_cycles(pres, d, wanted)
+            seen.add(o.flips)
+            geo_writhe, geo_lk = geometric_writhe_and_linking(pres, wanted)
+            assert writhe(d, o) == geo_writhe
+            mat = linking_matrix(d, o)
+            for i in range(k):
+                assert mat[index[i]][index[i]] == 0
+                for j in range(i + 1, k):
+                    lk = geo_lk.get(frozenset((i, j)), 0)
+                    assert mat[index[i]][index[j]] == mat[index[j]][index[i]] == lk
+        assert len(seen) == 1 << k
+
+
+def _inner_endpoint(outer, arc):
+    return next(x for x in arc if outer[0] < x < outer[1])
+
+
+def test_crossings_along_arcs_follow_inner_endpoints():
+    # the exact semicircle intersections order the crossings along each
+    # page-1 and page-3 arc as the crossing arcs' endpoints inside it
+    pool = [p for n in range(3, 9)
+            for p in enumerate_presentations(SearchConstraints(n))]
+    pool += [tnn(n) for n in range(2, 7)]
+    checked = 0
+    for pres in pool:
+        under_arcs, over_arcs = pres.pages[0], pres.pages[2]
+        for u in under_arcs:
+            crossing = [v for v in over_arcs if arcs_interleave(u, v)]
+            by_x = sorted(crossing, key=lambda v: crossing_position(u, v))
+            assert by_x == sorted(crossing, key=lambda v: _inner_endpoint(u, v)), (pres, u)
+            checked += len(crossing) > 1
+        for v in over_arcs:
+            crossing = [u for u in under_arcs if arcs_interleave(u, v)]
+            by_x = sorted(crossing, key=lambda u: crossing_position(u, v))
+            assert by_x == sorted(crossing, key=lambda u: _inner_endpoint(v, u)), (pres, v)
+            checked += len(crossing) > 1
+    assert checked > 2000  # arcs crossed at least twice
+
+
+def test_projections_match_golden_digest():
+    # pd_export and profile of every canonical presentation on 3..7 points,
+    # captured before projection ordered crossings by inner endpoints
+    h = hashlib.sha256()
+    count = 0
+    for n in range(3, 8):
+        for pres in enumerate_presentations(SearchConstraints(n)):
+            h.update(f"{pres}\n{pd_export(project(pres))}{profile(pres)}\n".encode())
+            count += 1
+    assert count == 2314
+    golden = Path(__file__).parent / "golden" / "projections.sha256"
+    assert h.hexdigest() == golden.read_text().split()[0]
 
 
 def test_tnn3_pairwise_linking():
