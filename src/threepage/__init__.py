@@ -5,17 +5,15 @@ from .braids import (BraidWord, FactorizationReport, cycle_count, exponent_sum,
                      torus_braid_lower_twist_form, torus_braid_small,
                      torus_braid_upper_twist_form, verify_factorization)
 from .diagram import (Orientation, PlanarDiagram, braid_closure_diagram,
-                      component_count, disjoint_union, faces, is_planar,
-                      linking_matrix, orientation_from_point_cycles,
-                      orientations, pd_export, project, trace, writhe)
+                      pd_export, project, trace)
 from .invariants import (CrossingLimitError, InvariantProfile, bracket_skein,
-                         bracket_statesum, equal_up_to_mirror, jones, jones_set,
-                         profile, trivial_profile)
+                         equal_up_to_mirror, jones_set, profile,
+                         trivial_profile)
 from .laurent import LOOP, ONE, LaurentPoly, in_t_variable
 from .presentation import (ComponentDecomposition, InvalidPresentationError,
                            ParseError, PlacedArc, ThreePagePresentation,
                            ValidationReport, canonicalize, components,
-                           detect_split_pair, insert_kink, is_canonical, parse,
+                           detect_split_pair, is_canonical, parse,
                            symmetry_orbit, validate)
 from .render import RenderSpec, render, render_ascii, render_svg
 from .search import (CensusEntry, IndexSearchResult, InvalidSearchLimit,
@@ -23,6 +21,6 @@ from .search import (CensusEntry, IndexSearchResult, InvalidSearchLimit,
                      census, census_text, enumerate_presentations,
                      refute_t33_at_9, three_page_index)
 from .torus import (HOPF, UNKNOT_TRIANGLE, BoundsReport, TorusParams, bounds,
-                    closure_profile, matches_torus_link, tnn, tpq, tpq_tight)
+                    closure_profile, tnn, tpq, tpq_tight)
 
 __version__ = "0.1.0"

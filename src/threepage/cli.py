@@ -17,8 +17,8 @@ from typing import Optional
 from . import __version__
 from .braids import (cycle_count, exponent_sum, format_word, parse_word,
                      permutation)
-from .diagram import (Orientation, braid_closure_diagram, linking_matrix,
-                      pd_export, project, trace, writhe)
+from .diagram import (Orientation, braid_closure_diagram, pd_export, project,
+                      trace)
 from .invariants import (CrossingLimitError, bracket_skein, equal_up_to_mirror,
                          profile)
 from .laurent import in_t_variable, poly_sort_key
@@ -47,6 +47,14 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", USAGE_ERROR) from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", USAGE_ERROR) from exc
 
 
 def _read_presentations(path: str) -> list[ThreePagePresentation]:
@@ -137,14 +145,13 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     pres = _read_one(args.input)
     d = project(pres)
     tr = trace(d)
-    prof = profile(pres)
+    prof = profile(d)
     base = Orientation.base(tr.component_count)
     print(f"components = {prof.component_count}")
     print(f"crossings  = {len(d.crossings)}")
-    print(f"writhe(base orientation) = {writhe(d, base)}")
-    mat = linking_matrix(d, base)
+    print(f"writhe(base orientation) = {tr.writhe(base)}")
     print("linking matrix (base orientation):")
-    for row in mat:
+    for row in tr.linking_matrix(base):
         print("  " + " ".join(f"{v:3d}" for v in row))
     print(f"|lk| multiset = {list(prof.abs_linking)}")
     print(f"bracket = {bracket_skein(d)}")
@@ -192,8 +199,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     entries = census(args.n, max_n=args.max_n)
     text = census_text(entries)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         print(f"{len(entries)} entries -> {args.out}")
     else:
         sys.stdout.write(text)
@@ -219,8 +225,7 @@ def cmd_render(args: argparse.Namespace) -> int:
                       labels=not args.no_labels)
     text = render(pres, spec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

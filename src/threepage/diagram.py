@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .braids import BraidWord
-from .presentation import (ThreePagePresentation, arcs_interleave, components,
-                           require_valid, walk_components)
+from .presentation import (ThreePagePresentation, arcs_interleave, require_valid,
+                           walk_components)
 
 CrossingTuple = tuple[int, int, int, int]
 
@@ -62,9 +62,6 @@ class PlanarDiagram:
 
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-    def edges(self) -> tuple[int, ...]:
-        return tuple(sorted({e for t in self.crossings for e in t}))
 
 
 @dataclass(frozen=True)
@@ -109,12 +106,14 @@ class Trace:
         return [-1 if f else 1 for f in o.flips]
 
     def writhe(self, o: Orientation) -> int:
+        """Signed crossing sum under the stated right-hand sign rule."""
         # a crossing's sign flips with each of its two strands' components
         e = self._signs(o)
         return sum(ei * ej * w for ei, row in zip(e, self.matrix)
                    for ej, w in zip(e, row))
 
     def linking_matrix(self, o: Orientation) -> tuple[tuple[int, ...], ...]:
+        """lk(i, j) = half the signed sum of crossings between components i and j."""
         e = self._signs(o)
         return tuple(tuple(0 if i == j else ei * ej * w
                            for j, (ej, w) in enumerate(zip(e, row)))
@@ -169,24 +168,6 @@ def trace(d: PlanarDiagram) -> Trace:
             raise AssertionError("inter-component crossings must pair up")
         matrix[i][j] = matrix[j][i] = between // 2
     return Trace(k, edge_component, edge_direction, tuple(map(tuple, matrix)))
-
-
-def component_count(d: PlanarDiagram) -> int:
-    return trace(d).component_count
-
-
-def orientations(d: PlanarDiagram) -> Iterator[Orientation]:
-    return trace(d).orientations()
-
-
-def writhe(d: PlanarDiagram, o: Orientation) -> int:
-    """Signed crossing sum under the stated right-hand sign rule."""
-    return trace(d).writhe(o)
-
-
-def linking_matrix(d: PlanarDiagram, o: Orientation) -> tuple[tuple[int, ...], ...]:
-    """lk(i, j) = half the signed sum of crossings between components i and j."""
-    return trace(d).linking_matrix(o)
 
 
 def abs_linking_multiset(d: PlanarDiagram) -> tuple[int, ...]:
@@ -252,37 +233,6 @@ def project(p: ThreePagePresentation) -> PlanarDiagram:
                          tuple(walk_heads) or None)
 
 
-def orientation_from_point_cycles(p: ThreePagePresentation, d: PlanarDiagram,
-                                  wanted: Iterable[tuple[int, ...]]) -> Orientation:
-    """Translate per-component directions, given as binding-point cycles like
-    (1, 3, 5) for 1 -> 3 -> 5 -> 1, into orientation flips for project(p)."""
-    if d.walk_heads is None:
-        raise ValueError("diagram lacks projection walk data")
-    comp = components(p)
-    tr = trace(d)
-    flips = [False] * tr.component_count
-    wanted_list = list(wanted)
-    if len(wanted_list) != len(comp.point_cycles):
-        raise ValueError(f"expected {len(comp.point_cycles)} point cycles")
-    for base, want, head in zip(comp.point_cycles, wanted_list, d.walk_heads):
-        if set(base) != set(want) or len(base) != len(want):
-            raise ValueError(f"cycle {want} does not match component {base}")
-        k = want.index(base[0])
-        rotated = want[k:] + want[:k]
-        if rotated == base:
-            reversed_walk = False
-        elif rotated == (base[0],) + tuple(reversed(base[1:])):
-            reversed_walk = True
-        else:
-            raise ValueError(f"{want} is not a rotation or reversal of {base}")
-        if head is None:  # crossing-free component: direction is immaterial
-            continue
-        first_edge, walk_head = head
-        agrees = tr.edge_direction[first_edge][1] == walk_head
-        flips[tr.edge_component[first_edge]] = reversed_walk == agrees
-    return Orientation(tuple(flips))
-
-
 # -- braid closures -----------------------------------------------------------
 
 
@@ -312,84 +262,6 @@ def braid_closure_diagram(w: BraidWord) -> PlanarDiagram:
                       for t in provisional)
     free_loops = sum(1 for k in range(s) if cur[k] == k)
     return PlanarDiagram(crossings, free_loops)  # type: ignore[arg-type]
-
-
-def disjoint_union(d1: PlanarDiagram, d2: PlanarDiagram) -> PlanarDiagram:
-    shift = (max((e for t in d1.crossings for e in t), default=-1)) + 1
-    moved = tuple(tuple(e + shift for e in t) for t in d2.crossings)
-    return PlanarDiagram(d1.crossings + moved, d1.free_loops + d2.free_loops)  # type: ignore[arg-type]
-
-
-# -- faces and planarity -------------------------------------------------------
-
-Dart = tuple[int, int]  # (crossing, slot): the half-edge leaving that slot
-
-
-def faces(d: PlanarDiagram) -> list[tuple[Dart, ...]]:
-    """Face boundaries of the embedded 4-valent graph (free loops ignored).
-
-    A dart (c, s) walks away from crossing c along the edge in slot s; the
-    next dart turns to slot (s'-1) mod 4 at the far incidence (c', s'),
-    keeping the face on the walker's left for ccw vertex rotations.
-    """
-    inc = _incidences(d)
-    darts = [(c, s) for c in range(len(d.crossings)) for s in range(4)]
-    seen: set[Dart] = set()
-    out: list[tuple[Dart, ...]] = []
-    for start in darts:
-        if start in seen:
-            continue
-        cycle: list[Dart] = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cycle.append(cur)
-            c, s = cur
-            e = d.crossings[c][s]
-            a, b = inc[e]
-            far = b if a == (c, s) else a
-            cur = (far[0], (far[1] - 1) % 4)
-        out.append(tuple(cycle))
-    return out
-
-
-def _connected_parts(d: PlanarDiagram) -> list[set[int]]:
-    adj: dict[int, set[int]] = {c: set() for c in range(len(d.crossings))}
-    owner: dict[int, int] = {}
-    for c, t in enumerate(d.crossings):
-        for e in t:
-            if e in owner and owner[e] != c:
-                adj[c].add(owner[e])
-                adj[owner[e]].add(c)
-            owner[e] = c
-    parts: list[set[int]] = []
-    left = set(adj)
-    while left:
-        stack = [min(left)]
-        part: set[int] = set()
-        while stack:
-            x = stack.pop()
-            if x in part:
-                continue
-            part.add(x)
-            stack.extend(adj[x] - part)
-        parts.append(part)
-        left -= part
-    return parts
-
-
-def is_planar(d: PlanarDiagram) -> bool:
-    """Euler check V - E + F = 2 on every connected part of the 4-valent graph."""
-    if not d.crossings:
-        return True
-    face_list = faces(d)
-    for part in _connected_parts(d):
-        v = len(part)
-        e = 2 * v
-        f = sum(1 for face in face_list if face and face[0][0] in part)
-        if v - e + f != 2:
-            return False
-    return True
 
 
 # -- PD export -----------------------------------------------------------------

@@ -6,10 +6,10 @@ The bracket polynomial <.> is characterised by
     <L_x>    = A <L_0> + A^-1 <L_inf>
     <L u O>  = (-A^2 - A^-2) <L>
 
-and is computed by two independent algorithms: a brute-force sum over all
-2^c smoothing states, kept as the oracle, and a frontier contraction that
-adds one crossing at a time.  The Jones polynomial is the writhe
-normalisation f = (-A^3)^(-w) <D>, kept in the A variable.
+and is computed by frontier contraction, adding one crossing at a time; the
+tests keep a brute-force sum over all 2^c smoothing states as its oracle.
+The Jones polynomial is the writhe normalisation f = (-A^3)^(-w) <D>, kept
+in the A variable.
 
 Links are identified by an orientation-insensitive profile: component
 count, the multiset of |lk| over component pairs and the set of Jones
@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .diagram import (CrossingTuple, Orientation, PlanarDiagram, Trace, project,
-                      trace, writhe)
+from .diagram import CrossingTuple, PlanarDiagram, Trace, project, trace
 from .laurent import LOOP, LaurentPoly, poly_sort_key, writhe_unit
 from .presentation import ThreePagePresentation
 
@@ -33,59 +32,6 @@ DEFAULT_CROSSING_LIMIT = 24
 
 class CrossingLimitError(RuntimeError):
     """Raised when a bracket computation would exceed the crossing limit."""
-
-
-def _check_limit(d: PlanarDiagram, limit: int) -> None:
-    if len(d.crossings) > limit:
-        raise CrossingLimitError(
-            f"{len(d.crossings)} crossings exceed the limit of {limit}")
-
-
-def bracket_statesum(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> LaurentPoly:
-    """Bracket by direct expansion of all 2^c smoothing states.
-
-    State smoothing of a crossing (t0, t1, t2, t3) joins (t0 t1)(t2 t3) in
-    the A state and (t0 t3)(t1 t2) in the B state; each state contributes
-    A^(a-b) delta^(loops-1).
-    """
-    _check_limit(d, limit)
-    if not d.crossings:
-        if d.free_loops == 0:
-            raise ValueError("bracket of the empty diagram is undefined")
-        return LOOP ** (d.free_loops - 1)
-    c = len(d.crossings)
-    edges = d.edges()
-    idx = {e: k for k, e in enumerate(edges)}
-    m = len(edges)
-    counts: dict[tuple[int, int], int] = {}
-    for state in range(1 << c):
-        parent = list(range(m))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        a_count = 0
-        for k, t in enumerate(d.crossings):
-            if state >> k & 1:
-                pairs = ((t[0], t[1]), (t[2], t[3]))
-                a_count += 1
-            else:
-                pairs = ((t[0], t[3]), (t[1], t[2]))
-            for u, v in pairs:
-                ru, rv = find(idx[u]), find(idx[v])
-                if ru != rv:
-                    parent[ru] = rv
-        loops = len({find(x) for x in range(m)}) + d.free_loops
-        key = (2 * a_count - c, loops)
-        counts[key] = counts.get(key, 0) + 1
-    out = LaurentPoly()
-    for (diff, loops), mult in sorted(counts.items()):
-        term = LaurentPoly.monomial(diff, mult) * (LOOP ** (loops - 1))
-        out = out + term
-    return out
 
 
 # -- frontier contraction -----------------------------------------------------
@@ -135,7 +81,9 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
     crossing leaves the bracket, normalised so one circle evaluates to 1,
     in the single empty pairing.
     """
-    _check_limit(d, limit)
+    if len(d.crossings) > limit:
+        raise CrossingLimitError(
+            f"{len(d.crossings)} crossings exceed the limit of {limit}")
     if not d.crossings:
         if d.free_loops == 0:
             raise ValueError("bracket of the empty diagram is undefined")
@@ -216,15 +164,6 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
     return total * LOOP ** d.free_loops if d.free_loops else total
 
 
-def jones(d: PlanarDiagram, o: Orientation, limit: int = DEFAULT_CROSSING_LIMIT) -> LaurentPoly:
-    """Writhe-normalised bracket f = (-A^3)^(-w) <D>, in the A variable.
-
-    Invariant under all Reidemeister moves, hence an invariant of the
-    oriented link presented by the diagram.
-    """
-    return writhe_unit(-writhe(d, o)) * bracket_skein(d, limit)
-
-
 def jones_set(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> frozenset[LaurentPoly]:
     """Jones polynomials over all 2^components orientation assignments.
 
@@ -236,10 +175,6 @@ def jones_set(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> frozense
 def _jones_set(d: PlanarDiagram, tr: Trace, limit: int) -> frozenset[LaurentPoly]:
     b = bracket_skein(d, limit)
     return frozenset(writhe_unit(-w) * b for w in {tr.writhe(o) for o in tr.orientations()})
-
-
-def mirror_set(polys: frozenset[LaurentPoly]) -> frozenset[LaurentPoly]:
-    return frozenset(p.mirror() for p in polys)
 
 
 @dataclass(frozen=True)
@@ -281,7 +216,7 @@ def equal_up_to_mirror(a: InvariantProfile, b: InvariantProfile) -> bool:
     """Profile equality allowing one global mirror A <-> A^-1."""
     if a.component_count != b.component_count or a.abs_linking != b.abs_linking:
         return False
-    return a.jones == b.jones or a.jones == mirror_set(b.jones)
+    return a.jones == b.jones or a.jones == frozenset(p.mirror() for p in b.jones)
 
 
 def trivial_profile(k: int) -> InvariantProfile:

@@ -103,9 +103,6 @@ class ThreePagePresentation:
     def page_sizes(self) -> tuple[int, int, int]:
         return tuple(len(pg) for pg in self.pages)  # type: ignore[return-value]
 
-    def arcs_at(self, point: int) -> list[PlacedArc]:
-        return [pa for pa in self.placed_arcs() if point in pa.arc]
-
     # -- serialization ---------------------------------------------------
 
     def serialize(self) -> str:
@@ -334,14 +331,17 @@ def detect_split_pair(p: ThreePagePresentation) -> Optional[tuple[PlacedArc, Pla
 
     Such a pair bounds a disk that can be pushed off the rest of the link,
     so its presence certifies that the presented link is splittable.  The
-    check is sound but not complete: absence proves nothing.
+    check is sound but not complete: absence proves nothing.  It reads the
+    arcs only, so the presentation need not be valid.  The pair returned is
+    the smallest (page, arc) with a copy on a later page, with its first
+    such copy.
     """
-    require_valid(p)
-    placed = sorted(p.placed_arcs())
-    for x, a in enumerate(placed):
-        for b in placed[x + 1:]:
-            if a.arc == b.arc and a.page != b.page:
-                return (a, b)
+    for i in range(2):
+        shared = [(arc, j) for j in range(i + 1, 3)
+                  for arc in set(p.pages[i]).intersection(p.pages[j])]
+        if shared:
+            arc, j = min(shared)
+            return PlacedArc(i, arc), PlacedArc(j, arc)
     return None
 
 
@@ -397,49 +397,3 @@ def canonicalize(p: ThreePagePresentation) -> ThreePagePresentation:
 def is_canonical(p: ThreePagePresentation) -> bool:
     images = _images(p)
     return min(images) == images[0]
-
-
-# -- surgeries used by tests and the census -----------------------------------
-
-
-def insert_kink(p: ThreePagePresentation, placed: PlacedArc) -> ThreePagePresentation:
-    """Split one end of an arc through the third page, adding one point.
-
-    The strand heading into the right endpoint of ``placed`` is made to dip
-    briefly into the page carrying neither of that endpoint's arcs.  This is
-    an isotopy of the presented link, so the result presents the same link
-    with n+1 points.
-    """
-    require_valid(p)
-    page, (a, b) = placed
-    if placed.arc not in p.pages[page]:
-        raise ValueError(f"{placed} not present")
-    other = next(pa for pa in p.arcs_at(b) if pa != placed)
-    detour_page = next(k for k in range(3) if k not in (page, other.page))
-    # New point sits immediately left of b; old points >= b shift up by one.
-    def shift(x: int) -> int:
-        return x + 1 if x >= b else x
-    new_pages: list[list[Arc]] = [[], [], []]
-    for q_page, (i, j) in p.placed_arcs():
-        if (q_page, (i, j)) == (page, (a, b)):
-            continue
-        new_pages[q_page].append((shift(i), shift(j)))
-    c = b  # the fresh point, taking b's old position
-    new_pages[page].append((shift(a), c) if shift(a) < c else (c, shift(a)))
-    new_pages[detour_page].append((c, c + 1))
-    return ThreePagePresentation.of(p.n + 1, *new_pages)
-
-
-def without_component(p: ThreePagePresentation, index: int) -> ThreePagePresentation:
-    """Delete one component and renumber the remaining points."""
-    comp = components(p)
-    dropped = set(comp.cycles[index])
-    kept_points = sorted({pt for pa in set(p.placed_arcs()) - dropped for pt in pa.arc})
-    renum = {pt: k + 1 for k, pt in enumerate(kept_points)}
-    pages: list[list[Arc]] = [[], [], []]
-    for pa in p.placed_arcs():
-        if pa in dropped:
-            continue
-        i, j = pa.arc
-        pages[pa.page].append((renum[i], renum[j]))
-    return ThreePagePresentation.of(len(kept_points), *pages)

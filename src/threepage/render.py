@@ -30,8 +30,8 @@ class RenderSpec:
     def __post_init__(self) -> None:
         if self.format not in ("svg", "ascii"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
 def render(p: ThreePagePresentation, spec: RenderSpec = RenderSpec()) -> str:

@@ -237,8 +237,11 @@ def three_page_index(target: InvariantProfile, n_max: int,
     """Smallest n <= n_max carrying a presentation whose profile matches the
     target up to mirror, by exhaustive canonical search.
 
-    A not-found result certifies that the index exceeds n_max, relative to
-    the discriminating power of the profile oracle.
+    A not-found result is unconditional: the profile is an invariant of the
+    link up to mirror, so any presentation of the target link would have
+    matched, and the index exceeds n_max (``prune_split_pairs`` needs a
+    non-split target for this).  A found witness only matches the profile,
+    so it is no stronger than the profile oracle.
     """
     _check_n(n_max, max_n)
     for n in range(3, n_max + 1):

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .braids import torus_braid
 from .diagram import braid_closure_diagram
-from .invariants import InvariantProfile, equal_up_to_mirror, profile
+from .invariants import InvariantProfile, profile
 from .presentation import ThreePagePresentation, rotate_pages
 
 #: The six-arc presentation of the Hopf link used as a fixture throughout.
@@ -61,10 +61,6 @@ class TorusParams:
 def closure_profile(p: int, q: int) -> InvariantProfile:
     """Profile of the closed torus braid: the identification oracle."""
     return profile(braid_closure_diagram(torus_braid(p, q)))
-
-
-def matches_torus_link(pres: ThreePagePresentation, p: int, q: int) -> bool:
-    return equal_up_to_mirror(profile(pres), closure_profile(p, q))
 
 
 # -- constructors -------------------------------------------------------------

@@ -11,8 +11,81 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from threepage.diagram import (CrossingTuple, Dart, PlanarDiagram, _incidences,
-                               faces, is_planar)
+from threepage.diagram import CrossingTuple, PlanarDiagram, _incidences
+
+# -- faces and planarity -------------------------------------------------------
+
+Dart = tuple[int, int]  # (crossing, slot): the half-edge leaving that slot
+
+
+def faces(d: PlanarDiagram) -> list[tuple[Dart, ...]]:
+    """Face boundaries of the embedded 4-valent graph (free loops ignored).
+
+    A dart (c, s) walks away from crossing c along the edge in slot s; the
+    next dart turns to slot (s'-1) mod 4 at the far incidence (c', s'),
+    keeping the face on the walker's left for ccw vertex rotations.
+    """
+    inc = _incidences(d)
+    darts = [(c, s) for c in range(len(d.crossings)) for s in range(4)]
+    seen: set[Dart] = set()
+    out: list[tuple[Dart, ...]] = []
+    for start in darts:
+        if start in seen:
+            continue
+        cycle: list[Dart] = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            cycle.append(cur)
+            c, s = cur
+            e = d.crossings[c][s]
+            a, b = inc[e]
+            far = b if a == (c, s) else a
+            cur = (far[0], (far[1] - 1) % 4)
+        out.append(tuple(cycle))
+    return out
+
+
+def _connected_parts(d: PlanarDiagram) -> list[set[int]]:
+    adj: dict[int, set[int]] = {c: set() for c in range(len(d.crossings))}
+    owner: dict[int, int] = {}
+    for c, t in enumerate(d.crossings):
+        for e in t:
+            if e in owner and owner[e] != c:
+                adj[c].add(owner[e])
+                adj[owner[e]].add(c)
+            owner[e] = c
+    parts: list[set[int]] = []
+    left = set(adj)
+    while left:
+        stack = [min(left)]
+        part: set[int] = set()
+        while stack:
+            x = stack.pop()
+            if x in part:
+                continue
+            part.add(x)
+            stack.extend(adj[x] - part)
+        parts.append(part)
+        left -= part
+    return parts
+
+
+def is_planar(d: PlanarDiagram) -> bool:
+    """Euler check V - E + F = 2 on every connected part of the 4-valent graph."""
+    if not d.crossings:
+        return True
+    face_list = faces(d)
+    for part in _connected_parts(d):
+        v = len(part)
+        e = 2 * v
+        f = sum(1 for face in face_list if face and face[0][0] in part)
+        if v - e + f != 2:
+            return False
+    return True
+
+
+# -- moves -----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -101,7 +174,8 @@ def _rewire(crossings: list[CrossingTuple], drop: set[int]) -> tuple[
 
 
 def r1_insertion_sites(d: PlanarDiagram) -> list[R1Insert]:
-    sites = [R1Insert(e, pos) for e in d.edges() for pos in (True, False)]
+    edges = sorted({e for t in d.crossings for e in t})
+    sites = [R1Insert(e, pos) for e in edges for pos in (True, False)]
     if d.free_loops:
         sites += [R1Insert(None, True), R1Insert(None, False)]
     return sites

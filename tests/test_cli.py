@@ -58,6 +58,26 @@ def test_validate_ok_and_split_note(monkeypatch):
     assert code == 0 and "split pair" in out
 
 
+def test_validate_checks_each_line_once(monkeypatch):
+    from threepage import cli, presentation
+
+    calls = []
+    real_validate = presentation.validate
+
+    def counting_validate(p):
+        calls.append(p)
+        return real_validate(p)
+
+    for module in (cli, presentation):
+        monkeypatch.setattr(module, "validate", counting_validate)
+    lines = [HOPF.serialize(), "n=4; P1:1-2; P2:1-2,3-4; P3:3-4",
+             "n=3; P1:1-2; P2:2-3; P3:1-3", "n=4; P1:1-3,2-4; P2:1-2; P3:3-4"]
+    code, out, _ = run(["validate", "-"], stdin_text="\n".join(lines),
+                       monkeypatch=monkeypatch)
+    assert code == 1 and out.count(": ok") == 3 and "line 4: INVALID" in out
+    assert len(calls) == len(lines)
+
+
 def test_validate_invalid_is_domain_error(monkeypatch):
     code, out, _ = run(["validate", "-"],
                        stdin_text="n=4; P1:1-3,2-4; P2:1-2; P3:3-4\n",
@@ -212,6 +232,28 @@ def test_census_stdout(monkeypatch):
     code, out, _ = run(["census", "--n", "3"])
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_render_non_finite_scale_is_domain_error(monkeypatch, scale):
+    code, out, err = run(["render", "-", "--scale", scale],
+                         stdin_text=HOPF.serialize(), monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert "scale must be positive and finite" in err
+
+
+def test_unwritable_out_is_usage_error(monkeypatch, tmp_path):
+    missing = str(tmp_path / "missing" / "x")
+    for argv in (["census", "--n", "3", "--out", missing],
+                 ["census", "--n", "3", "--out", str(tmp_path)]):
+        code, out, err = run(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: cannot write {argv[-1]}: "), argv
+    code, out, err = run(["render", "-", "--out", missing],
+                         stdin_text=HOPF.serialize(), monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {missing}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_render_ascii_stdout(monkeypatch):

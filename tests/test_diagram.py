@@ -5,24 +5,23 @@ import pytest
 
 from threepage.braids import BraidWord, parse_word, torus_braid
 from threepage.diagram import (Orientation, PlanarDiagram, abs_linking_multiset,
-                               braid_closure_diagram, component_count,
-                               disjoint_union, faces, is_planar, linking_matrix,
-                               orientation_from_point_cycles, orientations,
-                               pd_export, project, trace, writhe)
+                               braid_closure_diagram, pd_export, project, trace)
 from threepage.invariants import profile
 from threepage.presentation import ThreePagePresentation, arcs_interleave, components
 from threepage.render import crossing_position
 from threepage.search import SearchConstraints, enumerate_presentations
 from threepage.torus import HOPF, tnn
 
-from util import geometric_writhe_and_linking
+from reidemeister import faces, is_planar
+from util import (disjoint_union, geometric_writhe_and_linking,
+                  orientation_from_point_cycles)
 
 
 def test_project_unknot_triangle_no_crossings(unknot_triangle):
     d = project(unknot_triangle)
     assert d.crossing_count() == 0
     assert d.free_loops == 1
-    assert component_count(d) == 1
+    assert trace(d).component_count == 1
 
 
 def test_project_hopf_two_crossings(hopf):
@@ -43,7 +42,7 @@ def test_project_nested_over_disjoint_has_no_crossings():
 
 def test_project_component_count_matches_model(hopf):
     for pres in (hopf, tnn(3), tnn(4)):
-        assert component_count(project(pres)) == len(components(pres).cycles)
+        assert trace(project(pres)).component_count == len(components(pres).cycles)
 
 
 def test_braid_closure_empty_word_is_unknot():
@@ -53,13 +52,13 @@ def test_braid_closure_empty_word_is_unknot():
 
 def test_braid_closure_hopf(hopf_braid_diagram):
     assert hopf_braid_diagram.crossing_count() == 2
-    assert component_count(hopf_braid_diagram) == 2
+    assert trace(hopf_braid_diagram).component_count == 2
 
 
 def test_braid_closure_torus23():
     d = braid_closure_diagram(torus_braid(2, 3))
     assert d.crossing_count() == 4
-    assert component_count(d) == 1
+    assert trace(d).component_count == 1
 
 
 def test_braid_generator_range_checked():
@@ -70,14 +69,15 @@ def test_braid_generator_range_checked():
 def test_linking_zero_crossing_unlink():
     p = ThreePagePresentation.of(4, [(1, 2)], [(1, 2), (3, 4)], [(3, 4)])
     d = project(p)
-    assert linking_matrix(d, Orientation.base(2)) == ((0, 0), (0, 0))
+    assert trace(d).linking_matrix(Orientation.base(2)) == ((0, 0), (0, 0))
 
 
 def test_hopf_fixture_linking_and_writhe_match_spec(hopf):
     d = project(hopf)
+    tr = trace(d)
     o = orientation_from_point_cycles(hopf, d, [(1, 3, 5), (2, 4, 6)])
-    assert writhe(d, o) == -2
-    mat = linking_matrix(d, o)
+    assert tr.writhe(o) == -2
+    mat = tr.linking_matrix(o)
     assert mat[0][1] == mat[1][0] == -1
     # independent geometric oracle, same orientation
     geo_writhe, geo_lk = geometric_writhe_and_linking(hopf, [(1, 3, 5), (2, 4, 6)])
@@ -86,9 +86,9 @@ def test_hopf_fixture_linking_and_writhe_match_spec(hopf):
 
 
 def test_flipping_one_component_negates_its_rows(hopf):
-    d = project(hopf)
-    base = linking_matrix(d, Orientation.base(2))
-    flipped = linking_matrix(d, Orientation((True, False)))
+    tr = trace(project(hopf))
+    base = tr.linking_matrix(Orientation.base(2))
+    flipped = tr.linking_matrix(Orientation((True, False)))
     assert flipped[0][1] == -base[0][1]
 
 
@@ -108,8 +108,8 @@ def test_geometric_oracle_agrees_on_constructions():
             o = orientation_from_point_cycles(pres, d, wanted)
             seen.add(o.flips)
             geo_writhe, geo_lk = geometric_writhe_and_linking(pres, wanted)
-            assert writhe(d, o) == geo_writhe
-            mat = linking_matrix(d, o)
+            assert tr.writhe(o) == geo_writhe
+            mat = tr.linking_matrix(o)
             for i in range(k):
                 assert mat[index[i]][index[i]] == 0
                 for j in range(i + 1, k):
@@ -164,17 +164,18 @@ def test_tnn3_pairwise_linking():
 
 def test_writhe_zero_crossing(unknot_triangle):
     d = project(unknot_triangle)
-    assert writhe(d, Orientation.base(1)) == 0
+    assert trace(d).writhe(Orientation.base(1)) == 0
 
 
 def test_writhe_trefoil_either_orientation(trefoil_diagram):
-    for o in orientations(trefoil_diagram):
-        assert writhe(trefoil_diagram, o) == 3
+    tr = trace(trefoil_diagram)
+    for o in tr.orientations():
+        assert tr.writhe(o) == 3
 
 
 def test_writhe_hopf_fixture_orientations(hopf):
-    d = project(hopf)
-    assert sorted(writhe(d, o) for o in orientations(d)) == [-2, -2, 2, 2]
+    tr = trace(project(hopf))
+    assert sorted(tr.writhe(o) for o in tr.orientations()) == [-2, -2, 2, 2]
 
 
 def test_pd_export_shape(trefoil_diagram):
@@ -224,7 +225,7 @@ def test_projection_is_always_planar():
 
 def test_disjoint_union_components(trefoil_diagram, hopf_braid_diagram):
     d = disjoint_union(trefoil_diagram, hopf_braid_diagram)
-    assert component_count(d) == 3
+    assert trace(d).component_count == 3
     assert d.crossing_count() == 5
 
 
@@ -236,4 +237,4 @@ def test_edge_occurrence_validation():
 def test_orientation_size_checked(hopf):
     d = project(hopf)
     with pytest.raises(ValueError):
-        writhe(d, Orientation((False,)))
+        trace(d).writhe(Orientation((False,)))

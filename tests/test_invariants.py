@@ -4,13 +4,15 @@ import pytest
 
 from threepage.braids import BraidWord, torus_braid
 from threepage.diagram import (Orientation, PlanarDiagram, braid_closure_diagram,
-                               disjoint_union, orientations, project)
+                               project, trace)
 from threepage.invariants import (CrossingLimitError, bracket_skein,
-                                  bracket_statesum, equal_up_to_mirror, jones,
-                                  jones_set, profile, trivial_profile)
+                                  equal_up_to_mirror, jones_set, profile,
+                                  trivial_profile)
 from threepage.laurent import LOOP, ONE, LaurentPoly
 from threepage.presentation import ThreePagePresentation, symmetry_orbit
 from threepage.torus import tnn, tpq, tpq_tight
+
+from util import bracket_statesum, disjoint_union, jones, without_component
 
 HOPF_BRACKET = LaurentPoly.from_dict({4: -1, -4: -1})
 TREFOIL_JONES = LaurentPoly.from_dict({-4: 1, -12: 1, -16: -1})
@@ -46,7 +48,7 @@ def test_skein_agrees_with_statesum_on_trefoil(trefoil_diagram):
 
 
 def test_jones_trefoil_standard_up_to_mirror(trefoil_diagram):
-    for o in orientations(trefoil_diagram):
+    for o in trace(trefoil_diagram).orientations():
         f = jones(trefoil_diagram, o)
         assert f in (TREFOIL_JONES, TREFOIL_JONES.mirror())
 
@@ -169,8 +171,7 @@ def test_split_pair_profile_factorizes():
     """A doubled arc certifies splittability: the profile must factor as
     (rest) x (unlinked unknot), even when the projection still shows
     crossings between the pair and the rest."""
-    from threepage.presentation import (components, detect_split_pair, parse,
-                                        without_component)
+    from threepage.presentation import components, detect_split_pair, parse
 
     double_pair = parse("n=4; P1:1-2; P2:1-2,3-4; P3:3-4")
     assert detect_split_pair(double_pair) is not None

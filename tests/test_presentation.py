@@ -8,11 +8,12 @@ from threepage.presentation import (DegreeViolated, EndpointShared,
                                     NonCrossingViolated, PageEmpty, ParseError,
                                     PlacedArc, ThreePagePresentation,
                                     canonicalize, components, detect_split_pair,
-                                    insert_kink, is_canonical, parse,
-                                    reverse_points, rotate_pages,
-                                    symmetry_orbit, validate, without_component)
+                                    is_canonical, parse, reverse_points,
+                                    rotate_pages, symmetry_orbit, validate)
 from threepage.search import SearchConstraints, enumerate_presentations
 from threepage.torus import HOPF
+
+from util import insert_kink, without_component
 
 
 def test_hopf_fixture_is_valid(hopf):
@@ -67,14 +68,36 @@ def test_split_pair_detected():
     assert pair == (PlacedArc(0, (1, 2)), PlacedArc(1, (1, 2)))
 
 
+def _first_split_pair(pres):
+    """Brute scan over all arc pairs in (page, arc) order."""
+    placed = sorted(pres.placed_arcs())
+    return next(((a, b) for i, a in enumerate(placed) for b in placed[i + 1:]
+                 if a.arc == b.arc and a.page != b.page), None)
+
+
 def test_split_pair_absent(hopf, unknot_triangle):
     # brute scan over all arc pairs as the independent check
     for pres in (hopf, unknot_triangle):
-        placed = list(pres.placed_arcs())
-        brute = [(a, b) for i, a in enumerate(placed) for b in placed[i + 1:]
-                 if a.arc == b.arc and a.page != b.page]
-        assert brute == []
+        assert _first_split_pair(pres) is None
         assert detect_split_pair(pres) is None
+    # the same pair as the scan, on every orbit image of every canonical
+    # presentation on 3..7 points, so pairs occur on each pair of pages
+    found = set()
+    for n in range(3, 8):
+        for pres in enumerate_presentations(SearchConstraints(n)):
+            for image in symmetry_orbit(pres):
+                pair = detect_split_pair(image)
+                assert pair == _first_split_pair(image), image
+                if pair:
+                    found.add((pair[0].page, pair[1].page))
+    assert found == {(0, 1), (0, 2), (1, 2)}
+
+
+def test_split_pair_needs_no_valid_presentation():
+    # page 3 is empty and points 3, 4 meet one arc each
+    bad = ThreePagePresentation.of(4, [(1, 2), (3, 4)], [(1, 2)], [])
+    assert not validate(bad).ok
+    assert detect_split_pair(bad) == (PlacedArc(0, (1, 2)), PlacedArc(1, (1, 2)))
 
 
 def test_canonicalize_idempotent(hopf):

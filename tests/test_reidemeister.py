@@ -3,11 +3,11 @@ import random
 import pytest
 
 from threepage.braids import BraidWord
-from threepage.diagram import braid_closure_diagram, is_planar, project
+from threepage.diagram import braid_closure_diagram, project
 from threepage.invariants import bracket_skein, jones_set
 from threepage.laurent import NEG_A3, writhe_unit
 
-from reidemeister import (R1Insert, R2Insert, r1_insertion_sites,
+from reidemeister import (R1Insert, R2Insert, is_planar, r1_insertion_sites,
                           r1_removal_sites, r2_insertion_sites, r2_removal_sites,
                           r3_sites, reidemeister_perturb, sites)
 

@@ -42,8 +42,9 @@ def test_ascii_contains_axis_and_labels(hopf):
 def test_render_spec_validation():
     with pytest.raises(ValueError):
         RenderSpec(format="png")
-    with pytest.raises(ValueError):
-        RenderSpec(scale=0)
+    for scale in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RenderSpec(scale=scale)
 
 
 def test_labels_toggle(hopf):

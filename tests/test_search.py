@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from threepage.invariants import profile, trivial_profile, equal_up_to_mirror
-from threepage.presentation import (canonicalize, detect_split_pair, insert_kink,
+from threepage.presentation import (canonicalize, detect_split_pair,
                                     is_canonical, validate)
 from threepage.search import (InvalidSearchLimit, SearchConstraints,
                               SearchLimitExceeded, census,
@@ -11,8 +11,9 @@ from threepage.search import (InvalidSearchLimit, SearchConstraints,
                               refute_t33_at_9, search_limit, three_page_index)
 from threepage.torus import UNKNOT_TRIANGLE, closure_profile
 
-from util import (naive_noncrossing_matchings, naive_valid_presentations,
-                  reference_component_filter, reference_presentations)
+from util import (insert_kink, naive_noncrossing_matchings,
+                  naive_valid_presentations, reference_component_filter,
+                  reference_presentations)
 
 #: canonical presentations on n points, n = 3..9
 GOLDEN_COUNTS = {3: 2, 4: 10, 5: 44, 6: 294, 7: 1964, 8: 14636, 9: 112912}

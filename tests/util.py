@@ -1,11 +1,17 @@
-"""Independent oracles used by the tests.
+"""Independent oracles and test-only helpers used by the tests.
 
-Everything here deliberately avoids the library's diagram machinery so that
-test expectations are computed along a different path than the code under
-test: crossing signs come from semicircle calculus, enumeration counts from
-a naive generate-and-filter pass, the enumeration stream from a reference
-pass that validates and canonicalizes every candidate, and braid equality
-from the action on a free group.
+The oracles deliberately avoid the library's fast paths so that test
+expectations are computed along a different path than the code under test:
+crossing signs come from semicircle calculus, the bracket from a sum over
+all 2^c smoothing states, enumeration counts from a naive
+generate-and-filter pass, the enumeration stream from a reference pass that
+validates and canonicalizes every candidate, and braid equality from the
+action on a free group.
+
+The helpers build test inputs and read results from the library's own
+machinery; nothing in the package calls them: the Jones polynomial of one
+orientation, disjoint unions of diagrams, orientations given as point
+cycles, kink insertion and component deletion.
 """
 
 from __future__ import annotations
@@ -13,10 +19,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from threepage.presentation import (ThreePagePresentation, arcs_interleave,
-                                    components, is_canonical, validate)
+from threepage.diagram import Orientation, PlanarDiagram, trace
+from threepage.invariants import (DEFAULT_CROSSING_LIMIT, CrossingLimitError,
+                                  bracket_skein)
+from threepage.laurent import LOOP, LaurentPoly, writhe_unit
+from threepage.presentation import (Arc, PlacedArc, ThreePagePresentation,
+                                    arcs_interleave, components, is_canonical,
+                                    require_valid, validate)
 from threepage.search import SearchConstraints, noncrossing_matchings
 
 # -- geometric semicircle oracle -------------------------------------------------
@@ -217,3 +228,147 @@ def braids_exactly_equal(w1, w2) -> bool:
         return False
     return (artin_images(w1.strands, w1.letters)
             == artin_images(w2.strands, w2.letters))
+
+
+# -- bracket state-sum oracle ------------------------------------------------------
+
+
+def bracket_statesum(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> LaurentPoly:
+    """Bracket by direct expansion of all 2^c smoothing states.
+
+    State smoothing of a crossing (t0, t1, t2, t3) joins (t0 t1)(t2 t3) in
+    the A state and (t0 t3)(t1 t2) in the B state; each state contributes
+    A^(a-b) delta^(loops-1).
+    """
+    if len(d.crossings) > limit:
+        raise CrossingLimitError(
+            f"{len(d.crossings)} crossings exceed the limit of {limit}")
+    if not d.crossings:
+        if d.free_loops == 0:
+            raise ValueError("bracket of the empty diagram is undefined")
+        return LOOP ** (d.free_loops - 1)
+    c = len(d.crossings)
+    edges = sorted({e for t in d.crossings for e in t})
+    idx = {e: k for k, e in enumerate(edges)}
+    m = len(edges)
+    counts: dict[tuple[int, int], int] = {}
+    for state in range(1 << c):
+        parent = list(range(m))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        a_count = 0
+        for k, t in enumerate(d.crossings):
+            if state >> k & 1:
+                pairs = ((t[0], t[1]), (t[2], t[3]))
+                a_count += 1
+            else:
+                pairs = ((t[0], t[3]), (t[1], t[2]))
+            for u, v in pairs:
+                ru, rv = find(idx[u]), find(idx[v])
+                if ru != rv:
+                    parent[ru] = rv
+        loops = len({find(x) for x in range(m)}) + d.free_loops
+        key = (2 * a_count - c, loops)
+        counts[key] = counts.get(key, 0) + 1
+    out = LaurentPoly()
+    for (diff, loops), mult in sorted(counts.items()):
+        term = LaurentPoly.monomial(diff, mult) * (LOOP ** (loops - 1))
+        out = out + term
+    return out
+
+
+# -- diagram and presentation helpers -----------------------------------------------
+
+
+def jones(d: PlanarDiagram, o: Orientation, limit: int = DEFAULT_CROSSING_LIMIT) -> LaurentPoly:
+    """Writhe-normalised bracket f = (-A^3)^(-w) <D>, in the A variable.
+
+    Invariant under all Reidemeister moves, hence an invariant of the
+    oriented link presented by the diagram.
+    """
+    return writhe_unit(-trace(d).writhe(o)) * bracket_skein(d, limit)
+
+
+def disjoint_union(d1: PlanarDiagram, d2: PlanarDiagram) -> PlanarDiagram:
+    shift = (max((e for t in d1.crossings for e in t), default=-1)) + 1
+    moved = tuple(tuple(e + shift for e in t) for t in d2.crossings)
+    return PlanarDiagram(d1.crossings + moved, d1.free_loops + d2.free_loops)  # type: ignore[arg-type]
+
+
+def orientation_from_point_cycles(p: ThreePagePresentation, d: PlanarDiagram,
+                                  wanted: Iterable[tuple[int, ...]]) -> Orientation:
+    """Translate per-component directions, given as binding-point cycles like
+    (1, 3, 5) for 1 -> 3 -> 5 -> 1, into orientation flips for project(p)."""
+    if d.walk_heads is None:
+        raise ValueError("diagram lacks projection walk data")
+    comp = components(p)
+    tr = trace(d)
+    flips = [False] * tr.component_count
+    wanted_list = list(wanted)
+    if len(wanted_list) != len(comp.point_cycles):
+        raise ValueError(f"expected {len(comp.point_cycles)} point cycles")
+    for base, want, head in zip(comp.point_cycles, wanted_list, d.walk_heads):
+        if set(base) != set(want) or len(base) != len(want):
+            raise ValueError(f"cycle {want} does not match component {base}")
+        k = want.index(base[0])
+        rotated = want[k:] + want[:k]
+        if rotated == base:
+            reversed_walk = False
+        elif rotated == (base[0],) + tuple(reversed(base[1:])):
+            reversed_walk = True
+        else:
+            raise ValueError(f"{want} is not a rotation or reversal of {base}")
+        if head is None:  # crossing-free component: direction is immaterial
+            continue
+        first_edge, walk_head = head
+        agrees = tr.edge_direction[first_edge][1] == walk_head
+        flips[tr.edge_component[first_edge]] = reversed_walk == agrees
+    return Orientation(tuple(flips))
+
+
+def insert_kink(p: ThreePagePresentation, placed: PlacedArc) -> ThreePagePresentation:
+    """Split one end of an arc through the third page, adding one point.
+
+    The strand heading into the right endpoint of ``placed`` is made to dip
+    briefly into the page carrying neither of that endpoint's arcs.  This is
+    an isotopy of the presented link, so the result presents the same link
+    with n+1 points.
+    """
+    require_valid(p)
+    page, (a, b) = placed
+    if placed.arc not in p.pages[page]:
+        raise ValueError(f"{placed} not present")
+    other = next(pa for pa in p.placed_arcs() if b in pa.arc and pa != placed)
+    detour_page = next(k for k in range(3) if k not in (page, other.page))
+    # New point sits immediately left of b; old points >= b shift up by one.
+    def shift(x: int) -> int:
+        return x + 1 if x >= b else x
+    new_pages: list[list[Arc]] = [[], [], []]
+    for q_page, (i, j) in p.placed_arcs():
+        if (q_page, (i, j)) == (page, (a, b)):
+            continue
+        new_pages[q_page].append((shift(i), shift(j)))
+    c = b  # the fresh point, taking b's old position
+    new_pages[page].append((shift(a), c) if shift(a) < c else (c, shift(a)))
+    new_pages[detour_page].append((c, c + 1))
+    return ThreePagePresentation.of(p.n + 1, *new_pages)
+
+
+def without_component(p: ThreePagePresentation, index: int) -> ThreePagePresentation:
+    """Delete one component and renumber the remaining points."""
+    comp = components(p)
+    dropped = set(comp.cycles[index])
+    kept_points = sorted({pt for pa in set(p.placed_arcs()) - dropped for pt in pa.arc})
+    renum = {pt: k + 1 for k, pt in enumerate(kept_points)}
+    pages: list[list[Arc]] = [[], [], []]
+    for pa in p.placed_arcs():
+        if pa in dropped:
+            continue
+        i, j = pa.arc
+        pages[pa.page].append((renum[i], renum[j]))
+    return ThreePagePresentation.of(len(kept_points), *pages)
