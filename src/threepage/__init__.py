@@ -7,14 +7,12 @@ from .braids import (BraidWord, FactorizationReport, cycle_count, exponent_sum,
 from .diagram import (Orientation, PlanarDiagram, braid_closure_diagram,
                       pd_export, project, trace)
 from .invariants import (CrossingLimitError, InvariantProfile, bracket_skein,
-                         equal_up_to_mirror, jones_set, profile,
-                         trivial_profile)
+                         equal_up_to_mirror, jones_set, profile)
 from .laurent import LOOP, ONE, LaurentPoly, in_t_variable
 from .presentation import (ComponentDecomposition, InvalidPresentationError,
                            ParseError, PlacedArc, ThreePagePresentation,
-                           ValidationReport, canonicalize, components,
-                           detect_split_pair, is_canonical, parse,
-                           symmetry_orbit, validate)
+                           ValidationReport, components, detect_split_pair,
+                           is_canonical, parse, symmetry_orbit, validate)
 from .render import RenderSpec, render, render_ascii, render_svg
 from .search import (CensusEntry, IndexSearchResult, InvalidSearchLimit,
                      RefutationReport, SearchConstraints, SearchLimitExceeded,

@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional, TextIO
 
 from . import __version__
 from .braids import (cycle_count, exponent_sum, format_word, parse_word,
                      permutation)
 from .diagram import (Orientation, braid_closure_diagram, pd_export, project,
                       trace)
-from .invariants import (CrossingLimitError, bracket_skein, equal_up_to_mirror,
-                         profile)
+from .invariants import (CrossingLimitError, _jones_set, bracket_skein,
+                         equal_up_to_mirror, profile)
 from .laurent import in_t_variable, poly_sort_key
 from .presentation import (ParseError, ThreePagePresentation, components,
                            detect_split_pair, parse, validate)
 from .render import RenderSpec, render
-from .search import (InvalidSearchLimit, census, census_text, refute_t33_at_9,
-                     three_page_index)
+from .search import (InvalidSearchLimit, census, census_text, check_n,
+                     refute_t33_at_9, three_page_index)
 from .torus import TorusParams, bounds, closure_profile, tnn, tpq, tpq_tight
 
 USAGE_ERROR = 2
@@ -49,10 +50,13 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", USAGE_ERROR) from exc
 
 
-def _write_text(path: str, text: str) -> None:
+@contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """The file at path, opened for writing; a failure to open or write it
+    is a usage error."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", USAGE_ERROR) from exc
 
@@ -145,25 +149,21 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     pres = _read_one(args.input)
     d = project(pres)
     tr = trace(d)
-    prof = profile(d)
+    bracket = bracket_skein(d)
+    jones = sorted(_jones_set(tr, bracket), key=poly_sort_key)
     base = Orientation.base(tr.component_count)
-    print(f"components = {prof.component_count}")
+    print(f"components = {tr.component_count}")
     print(f"crossings  = {len(d.crossings)}")
     print(f"writhe(base orientation) = {tr.writhe(base)}")
     print("linking matrix (base orientation):")
     for row in tr.linking_matrix(base):
         print("  " + " ".join(f"{v:3d}" for v in row))
-    print(f"|lk| multiset = {list(prof.abs_linking)}")
-    print(f"bracket = {bracket_skein(d)}")
-    if args.t_variable:
-        polys = sorted(prof.jones, key=poly_sort_key)
-        print("jones (t variable), all orientations:")
-        for poly in polys:
-            print(f"  {in_t_variable(poly)}")
-    else:
-        print("jones (A variable), all orientations:")
-        for s in prof.jones_strings():
-            print(f"  {s}")
+    print(f"|lk| multiset = {list(tr.abs_linking())}")
+    print(f"bracket = {bracket}")
+    fmt, var = (in_t_variable, "t") if args.t_variable else (str, "A")
+    print(f"jones ({var} variable), all orientations:")
+    for poly in jones:
+        print(f"  {fmt(poly)}")
     return 0
 
 
@@ -196,13 +196,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     _check_max_n(args)
-    entries = census(args.n, max_n=args.max_n)
-    text = census_text(entries)
+    check_n(args.n, args.max_n)
     if args.out:
-        _write_text(args.out, text)
+        with _output(args.out) as fh:
+            entries = census(args.n, max_n=args.max_n)
+            fh.write(census_text(entries))
         print(f"{len(entries)} entries -> {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(census_text(census(args.n, max_n=args.max_n)))
     return 0
 
 
@@ -225,7 +226,8 @@ def cmd_render(args: argparse.Namespace) -> int:
                       labels=not args.no_labels)
     text = render(pres, spec)
     if args.out:
-        _write_text(args.out, text)
+        with _output(args.out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0

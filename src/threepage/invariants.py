@@ -39,12 +39,6 @@ class CrossingLimitError(RuntimeError):
 #: delta^k = (-A^2 - A^-2)^k for the 0, 1 or 2 loops one crossing can close.
 _LOOP_POWERS = ({0: 1}, {2: -1, -2: -1}, {4: 1, 0: 2, -4: 1})
 
-#: Per smoothing, A = (t0 t1)(t2 t3) and B = (t0 t3)(t1 t2): the slot joined
-#: to each slot, and per count of loops closed the terms of A^(+-1) delta^loops.
-_SMOOTHINGS = tuple(
-    (inner, tuple(tuple((e + shift, c) for e, c in lp.items()) for lp in _LOOP_POWERS))
-    for inner, shift in (((1, 0, 3, 2), 1), ((3, 2, 1, 0), -1)))
-
 
 def _contraction_order(crossings: tuple[CrossingTuple, ...]) -> list[int]:
     """Greedy planar order: next the crossing that adds the fewest open
@@ -71,15 +65,23 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
     """Bracket by frontier contraction (Bar-Natan, "Fast Khovanov homology
     computations", JKTR 2007).
 
-    Crossings are added one at a time in ``_contraction_order``.  The state
-    maps each pairing of the open edges (which open edge ends are joined
-    through the smoothed part) to the sum of A^(a-b) delta^loops over the
-    partial smoothing states that induce it.  Each crossing splits every
-    state into its A and B smoothings; each loop it closes is a factor of
-    delta.  The front is empty after the last crossing, so every state
-    closes at least one loop there; counting one loop fewer at that
-    crossing leaves the bracket, normalised so one circle evaluates to 1,
-    in the single empty pairing.
+    Crossings are added one at a time in ``_contraction_order``.  The open
+    edges form the front, and a state is a pairing of the front: for each
+    position, the position of the other end of its strand through the
+    contracted part.  A state maps to the sum of A^(a-b) delta^loops over
+    the partial smoothing states that induce it.
+
+    At each crossing the strand ends meeting there are indexed once: open
+    edges by their front position, then the crossing's other edges, a
+    curl's two slots sharing one index.  The A smoothing joins slots
+    (0,1)(2,3) with a factor A, the B smoothing (0,3)(1,2) with A^-1.  Every
+    join of two ends follows one rule: on a curl, or on the two ends of one
+    strand, a loop closes, a factor of delta; otherwise the far ends of the
+    two strands become partners.  The state count is that of the pairings
+    (at most 132 on tnn(6)).  The front is empty after the last crossing,
+    so every state closes at least one loop there; counting one loop fewer
+    at that crossing leaves the bracket, normalised so one circle evaluates
+    to 1, in the single empty pairing.
     """
     if len(d.crossings) > limit:
         raise CrossingLimitError(
@@ -88,73 +90,41 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
         if d.free_loops == 0:
             raise ValueError("bracket of the empty diagram is undefined")
         return LOOP ** (d.free_loops - 1)
-    front: list[int] = []  # open edges; a pairing is a partner position per edge
+    front: list[int] = []
     states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     order = _contraction_order(d.crossings)
     for k in order:
         t = d.crossings[k]
         uncounted = 1 if k == order[-1] else 0
-        pos = {e: i for i, e in enumerate(front)}
-        kept = [i for i, e in enumerate(front) if e not in t]
-        new_front = [front[i] for i in kept]
-        # Where an end leads away from this crossing is coded as a position
-        # in new_front (>= 0) or as -1 - slot for another slot of it.
-        # route[i]: where open edge i leads out of the contracted part.
-        route = [-1] * len(front)
-        for j, i in enumerate(kept):
-            route[i] = j
-        # outer[s]: where slot s leads; for slots on open edges it depends on
-        # the pairing and is filled in per state from old_slots
-        outer = [0] * 4
-        old_slots: list[tuple[int, int]] = []
-        for s, e in enumerate(t):
-            if e in pos:
-                route[pos[e]] = -1 - s
-                old_slots.append((s, pos[e]))
-            elif t.count(e) == 2:  # a curl: the edge joins two slots here
-                outer[s] = -1 - next(r for r in range(4) if r != s and t[r] == e)
-            else:
-                outer[s] = len(new_front)
-                new_front.append(e)
-        grow = len(new_front) - len(kept)
+        index = {e: i for i, e in enumerate(front)}
+        new_front = [e for e in front if e not in t]
+        for e in t:
+            if e not in index:
+                index[e] = len(index)
+                if t.count(e) == 1:
+                    new_front.append(e)
+        i0, i1, i2, i3 = (index[e] for e in t)
+        smoothings = ((((i0, i1), (i2, i3)), 1), (((i0, i3), (i1, i2)), -1))
+        pad = [-1] * (len(index) - len(front))
+        survivors = [index[e] for e in new_front]
+        place = [-1] * len(index)
+        for j, i in enumerate(survivors):
+            place[i] = j
         nxt: dict[tuple[int, ...], dict[int, int]] = {}
         for pairing, poly in states.items():
-            for s, i in old_slots:
-                outer[s] = route[pairing[i]]
-            # kept edges whose partner ends here get rewritten below
-            base = [route[pairing[i]] for i in kept] + [0] * grow
-            for inner, factors in _SMOOTHINGS:
-                out = base[:]
-                seen = [False] * 4
-                # join each pair of exits the smoothed crossing connects
-                for s in range(4):
-                    a = outer[s]
-                    if a < 0 or seen[s]:
-                        continue
-                    cur = s
-                    while True:
-                        seen[cur] = True
-                        cur = inner[cur]
-                        seen[cur] = True
-                        b = outer[cur]
-                        if b >= 0:
-                            break
-                        cur = -1 - b
-                    out[a] = b
-                    out[b] = a
-                # the slots left over lie on closed loops
-                loops = 0
-                for s in range(4):
-                    if not seen[s]:
+            for joins, shift in smoothings:
+                partner = [*pairing, *pad]
+                loops = -uncounted
+                for x, y in joins:
+                    if x == y or partner[x] == y:
                         loops += 1
-                        cur = s
-                        while not seen[cur]:
-                            seen[cur] = True
-                            cur = inner[cur]
-                            seen[cur] = True
-                            cur = -1 - outer[cur]
-                acc = nxt.setdefault(tuple(out), {})
-                for fe, fc in factors[loops - uncounted]:
+                    else:
+                        u = partner[x] if partner[x] >= 0 else x
+                        v = partner[y] if partner[y] >= 0 else y
+                        partner[u], partner[v] = v, u
+                acc = nxt.setdefault(tuple([place[partner[i]] for i in survivors]), {})
+                for fe, fc in _LOOP_POWERS[loops].items():
+                    fe += shift
                     for e, c in poly.items():
                         e += fe
                         acc[e] = acc.get(e, 0) + c * fc
@@ -169,12 +139,11 @@ def jones_set(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> frozense
 
     The bracket is orientation-free, so it is computed once and only the
     writhe normalisation varies."""
-    return _jones_set(d, trace(d), limit)
+    return _jones_set(trace(d), bracket_skein(d, limit))
 
 
-def _jones_set(d: PlanarDiagram, tr: Trace, limit: int) -> frozenset[LaurentPoly]:
-    b = bracket_skein(d, limit)
-    return frozenset(writhe_unit(-w) * b for w in {tr.writhe(o) for o in tr.orientations()})
+def _jones_set(tr: Trace, bracket: LaurentPoly) -> frozenset[LaurentPoly]:
+    return frozenset(writhe_unit(-w) * bracket for w in {tr.writhe(o) for o in tr.orientations()})
 
 
 @dataclass(frozen=True)
@@ -209,7 +178,7 @@ def profile(obj: Union[ThreePagePresentation, PlanarDiagram],
     d = project(obj) if isinstance(obj, ThreePagePresentation) else obj
     tr = trace(d)
     return InvariantProfile(tr.component_count, tr.abs_linking(),
-                            _jones_set(d, tr, limit))
+                            _jones_set(tr, bracket_skein(d, limit)))
 
 
 def equal_up_to_mirror(a: InvariantProfile, b: InvariantProfile) -> bool:
@@ -218,7 +187,3 @@ def equal_up_to_mirror(a: InvariantProfile, b: InvariantProfile) -> bool:
         return False
     return a.jones == b.jones or a.jones == frozenset(p.mirror() for p in b.jones)
 
-
-def trivial_profile(k: int) -> InvariantProfile:
-    """Profile of the k-component unlink."""
-    return InvariantProfile(k, (0,) * (k * (k - 1) // 2), frozenset({LOOP ** (k - 1)}))

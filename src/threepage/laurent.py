@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -73,28 +73,12 @@ class LaurentPoly:
         return LaurentPoly.from_dict({-e: c for e, c in self.terms})
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for i, (e, c) in enumerate(self.terms):
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "A" if e == 1 else f"A^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if i == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return _format_terms(self.terms, "A")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LaurentPoly({self})"
 
 
-ZERO = LaurentPoly()
 ONE = LaurentPoly.monomial(0)
 
 #: Value of a disjoint unknot:  delta = -A^2 - A^-2.
@@ -117,29 +101,28 @@ def in_t_variable(poly: LaurentPoly) -> str:
     exponents occur; every exponent is provably even, which is asserted, and
     halves are printed as ``t^-5/2``.
     """
-    rendered: list[tuple[Fraction, int]] = []
-    for e, c in poly.terms:
+    for e, _ in poly.terms:
         if e % 2 != 0:
             raise ValueError(f"odd exponent {e} cannot arise in a normalised bracket")
-        rendered.append((Fraction(e, -4), c))
-    rendered.sort(key=lambda t: -t[0])
-    if not rendered:
-        return "0"
+    return _format_terms([(Fraction(e, -4), c) for e, c in reversed(poly.terms)], "t")
+
+
+def _format_terms(terms: Iterable[tuple[Union[int, Fraction], int]], var: str) -> str:
+    """Signed sum of (exponent, coefficient) terms in the printed order: the
+    variable alone for exponent 1, a bare coefficient for exponent 0."""
     parts: list[str] = []
-    for i, (te, c) in enumerate(rendered):
-        sign = "-" if c < 0 else "+"
+    for e, c in terms:
         mag = abs(c)
-        if te == 0:
+        if e == 0:
             body = str(mag)
         else:
-            exp = str(te.numerator) if te.denominator == 1 else f"{te.numerator}/{te.denominator}"
-            var = "t" if exp == "1" else f"t^{exp}"
-            body = var if mag == 1 else f"{mag}{var}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
+            power = var if e == 1 else f"{var}^{e}"
+            body = power if mag == 1 else f"{mag}{power}"
+        if parts:
+            parts.append(f" {'-' if c < 0 else '+'} {body}")
         else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+            parts.append(body if c > 0 else f"-{body}")
+    return "".join(parts) or "0"
 
 
 def poly_sort_key(poly: LaurentPoly) -> tuple:

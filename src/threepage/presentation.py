@@ -378,20 +378,10 @@ def rotate_pages(p: ThreePagePresentation, k: int) -> ThreePagePresentation:
     return ThreePagePresentation(p.n, _images(p)[k % 3])
 
 
-def reverse_points(p: ThreePagePresentation) -> ThreePagePresentation:
-    """Reverse the point order together with the cyclic page order."""
-    return ThreePagePresentation(p.n, _images(p)[3])
-
-
 def symmetry_orbit(p: ThreePagePresentation) -> Iterator[ThreePagePresentation]:
     """The six images of p, in the order of ``orbit_images``."""
     for pages in _images(p):
         yield ThreePagePresentation(p.n, pages)
-
-
-def canonicalize(p: ThreePagePresentation) -> ThreePagePresentation:
-    """Lexicographically smallest member of the order-6 symmetry orbit."""
-    return ThreePagePresentation(p.n, min(_images(p)))
 
 
 def is_canonical(p: ThreePagePresentation) -> bool:

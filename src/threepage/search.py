@@ -52,7 +52,8 @@ def search_limit(override: Optional[int] = None) -> int:
     return limit
 
 
-def _check_n(n: int, max_n: Optional[int]) -> None:
+def check_n(n: int, max_n: Optional[int]) -> None:
+    """Reject a point count n beyond the search limit."""
     limit = search_limit(max_n)
     if n > limit:
         raise SearchLimitExceeded(
@@ -139,7 +140,7 @@ def enumerate_presentations(c: SearchConstraints,
     perfect matching of the points that still meet one arc.  The page-size
     bounds leave page 3 with at least ``min_arcs_per_page`` arcs.
     """
-    _check_n(c.n, max_n)
+    check_n(c.n, max_n)
     n = c.n
     points = tuple(range(1, n + 1))
     min_page = c.min_arcs_per_page or 1
@@ -243,7 +244,7 @@ def three_page_index(target: InvariantProfile, n_max: int,
     non-split target for this).  A found witness only matches the profile,
     so it is no stronger than the profile oracle.
     """
-    _check_n(n_max, max_n)
+    check_n(n_max, max_n)
     for n in range(3, n_max + 1):
         constraints = SearchConstraints(
             n, required_components=target.component_count,

@@ -13,8 +13,7 @@ from threepage.braids import (BraidWord, cycle_count, torus_braid,
                               torus_braid_lower_twist_form,
                               torus_braid_upper_twist_form, verify_factorization)
 from threepage.diagram import braid_closure_diagram, project
-from threepage.invariants import (bracket_skein, equal_up_to_mirror, jones_set,
-                                  profile, trivial_profile)
+from threepage.invariants import bracket_skein, equal_up_to_mirror, jones_set, profile
 from threepage.laurent import NEG_A3, writhe_unit
 from threepage.presentation import validate
 from threepage.render import render
@@ -28,7 +27,7 @@ import math
 
 from reidemeister import (R1Insert, R2Insert, r1_insertion_sites,
                           reidemeister_perturb, sites)
-from util import bracket_statesum
+from util import bracket_statesum, trivial_profile
 
 
 def _seed(default):

@@ -133,6 +133,28 @@ def test_invariants_roundtrip_from_construct(monkeypatch):
     assert "jones (A variable)" in out
 
 
+def test_invariants_computes_bracket_and_trace_once(monkeypatch):
+    from threepage import cli, diagram, invariants
+
+    calls = {"bracket_skein": 0, "trace": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name, owner in (("bracket_skein", invariants), ("trace", diagram)):
+        wrapped = counting(name, getattr(owner, name))
+        for module in (cli, diagram, invariants):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    code, out, _ = run(["invariants", "-"], stdin_text=HOPF.serialize(),
+                       monkeypatch=monkeypatch)
+    assert code == 0 and "bracket = " in out
+    assert calls == {"bracket_skein": 1, "trace": 1}
+
+
 def test_invariants_t_variable(monkeypatch):
     code, out, _ = run(["invariants", "-", "--t-variable"],
                        stdin_text="n=3; P1:1-2; P2:2-3; P3:1-3",
@@ -253,6 +275,24 @@ def test_unwritable_out_is_usage_error(monkeypatch, tmp_path):
                          stdin_text=HOPF.serialize(), monkeypatch=monkeypatch)
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {missing}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_census_checks_out_and_limit_before_computing(monkeypatch, tmp_path):
+    from threepage import cli
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("census ran before --out and the limit were checked")
+
+    monkeypatch.setattr(cli, "census", no_census)
+    missing = str(tmp_path / "missing" / "x")
+    code, out, err = run(["census", "--n", "8", "--out", missing])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {missing}: ")
+    monkeypatch.setenv("THREEPAGE_MAX_N", "5")
+    code, out, err = run(["census", "--n", "6", "--out", str(tmp_path / "x")])
+    assert code == 1 and out == ""
+    assert "n=6 exceeds the search limit 5" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,13 +6,13 @@ from threepage.braids import BraidWord, torus_braid
 from threepage.diagram import (Orientation, PlanarDiagram, braid_closure_diagram,
                                project, trace)
 from threepage.invariants import (CrossingLimitError, bracket_skein,
-                                  equal_up_to_mirror, jones_set, profile,
-                                  trivial_profile)
+                                  equal_up_to_mirror, jones_set, profile)
 from threepage.laurent import LOOP, ONE, LaurentPoly
 from threepage.presentation import ThreePagePresentation, symmetry_orbit
 from threepage.torus import tnn, tpq, tpq_tight
 
-from util import bracket_statesum, disjoint_union, jones, without_component
+from util import (bracket_statesum, disjoint_union, jones, trivial_profile,
+                  without_component)
 
 HOPF_BRACKET = LaurentPoly.from_dict({4: -1, -4: -1})
 TREFOIL_JONES = LaurentPoly.from_dict({-4: 1, -12: 1, -16: -1})
@@ -221,6 +221,10 @@ def test_torus_knot_jones_closed_form(p, q, build):
 
 
 def test_tnn5_orbit_profiles_match_closed_braid():
-    braid = profile(braid_closure_diagram(torus_braid(5, 5)), limit=64)
-    for q in symmetry_orbit(tnn(5)):
-        assert profile(q, limit=64) == braid
+    # beyond the state sum's reach, the closed braid is the only oracle
+    # for the contraction on large link diagrams
+    for pres, (p, q) in ((tnn(5), (5, 5)), (tnn(6), (6, 6)), (tpq(4, 7), (4, 7)),
+                         (tpq_tight(4, 9), (4, 9))):
+        braid = profile(braid_closure_diagram(torus_braid(p, q)), limit=64)
+        for image in symmetry_orbit(pres):
+            assert profile(image, limit=64) == braid, (image, p, q)

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from threepage.laurent import (LOOP, ONE, ZERO, LaurentPoly, in_t_variable,
-                               writhe_unit)
+from threepage.laurent import LOOP, ONE, LaurentPoly, in_t_variable, writhe_unit
+
+from util import ZERO
 
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-5, 5), max_size=6).map(
     LaurentPoly.from_dict)
@@ -50,6 +51,8 @@ def test_t_variable_knot_and_link():
     assert in_t_variable(trefoil) == "-t^4 + t^3 + t"
     hopf = LaurentPoly.from_dict({10: -1, 2: -1})
     assert in_t_variable(hopf) == "-t^-1/2 - t^-5/2"
+    assert in_t_variable(LaurentPoly.from_dict({4: 1, 0: 2, -4: -3})) == "-3t + 2 + t^-1"
+    assert in_t_variable(ZERO) == "0"
     with pytest.raises(ValueError):
         in_t_variable(LaurentPoly.from_dict({3: 1}))
 

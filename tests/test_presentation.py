@@ -7,13 +7,13 @@ from threepage.presentation import (DegreeViolated, EndpointShared,
                                     InvalidPresentationError,
                                     NonCrossingViolated, PageEmpty, ParseError,
                                     PlacedArc, ThreePagePresentation,
-                                    canonicalize, components, detect_split_pair,
-                                    is_canonical, parse, reverse_points,
-                                    rotate_pages, symmetry_orbit, validate)
+                                    components, detect_split_pair,
+                                    is_canonical, parse, rotate_pages,
+                                    symmetry_orbit, validate)
 from threepage.search import SearchConstraints, enumerate_presentations
 from threepage.torus import HOPF
 
-from util import insert_kink, without_component
+from util import canonicalize, insert_kink, reverse_points, without_component
 
 
 def test_hopf_fixture_is_valid(hopf):

@@ -2,18 +2,17 @@ import itertools
 
 import pytest
 
-from threepage.invariants import profile, trivial_profile, equal_up_to_mirror
-from threepage.presentation import (canonicalize, detect_split_pair,
-                                    is_canonical, validate)
+from threepage.invariants import profile, equal_up_to_mirror
+from threepage.presentation import detect_split_pair, is_canonical, validate
 from threepage.search import (InvalidSearchLimit, SearchConstraints,
                               SearchLimitExceeded, census,
                               enumerate_presentations, noncrossing_matchings,
                               refute_t33_at_9, search_limit, three_page_index)
 from threepage.torus import UNKNOT_TRIANGLE, closure_profile
 
-from util import (insert_kink, naive_noncrossing_matchings,
+from util import (canonicalize, insert_kink, naive_noncrossing_matchings,
                   naive_valid_presentations, reference_component_filter,
-                  reference_presentations)
+                  reference_presentations, trivial_profile)
 
 #: canonical presentations on n points, n = 3..9
 GOLDEN_COUNTS = {3: 2, 4: 10, 5: 44, 6: 294, 7: 1964, 8: 14636, 9: 112912}

@@ -11,7 +11,8 @@ action on a free group.
 The helpers build test inputs and read results from the library's own
 machinery; nothing in the package calls them: the Jones polynomial of one
 orientation, disjoint unions of diagrams, orientations given as point
-cycles, kink insertion and component deletion.
+cycles, kink insertion, component deletion, point reversal, the canonical
+orbit member, the unlink profile and the zero polynomial.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from typing import Iterable, Iterator
 
 from threepage.diagram import Orientation, PlanarDiagram, trace
 from threepage.invariants import (DEFAULT_CROSSING_LIMIT, CrossingLimitError,
-                                  bracket_skein)
+                                  InvariantProfile, bracket_skein)
 from threepage.laurent import LOOP, LaurentPoly, writhe_unit
 from threepage.presentation import (Arc, PlacedArc, ThreePagePresentation,
                                     arcs_interleave, components, is_canonical,
-                                    require_valid, validate)
+                                    require_valid, symmetry_orbit, validate)
 from threepage.search import SearchConstraints, noncrossing_matchings
 
 # -- geometric semicircle oracle -------------------------------------------------
@@ -372,3 +373,22 @@ def without_component(p: ThreePagePresentation, index: int) -> ThreePagePresenta
         i, j = pa.arc
         pages[pa.page].append((renum[i], renum[j]))
     return ThreePagePresentation.of(len(kept_points), *pages)
+
+
+def reverse_points(p: ThreePagePresentation) -> ThreePagePresentation:
+    """Reverse the point order together with the cyclic page order."""
+    return list(symmetry_orbit(p))[3]
+
+
+def canonicalize(p: ThreePagePresentation) -> ThreePagePresentation:
+    """Lexicographically smallest member of the order-6 symmetry orbit."""
+    return ThreePagePresentation(p.n, min(q.pages for q in symmetry_orbit(p)))
+
+
+def trivial_profile(k: int) -> InvariantProfile:
+    """Profile of the k-component unlink."""
+    return InvariantProfile(k, (0,) * (k * (k - 1) // 2), frozenset({LOOP ** (k - 1)}))
+
+
+#: The zero polynomial.
+ZERO = LaurentPoly()
