@@ -39,11 +39,6 @@ class BraidWord:
             raise ValueError("strand counts differ")
         return BraidWord(self.strands, self.letters + other.letters)
 
-    def __pow__(self, k: int) -> "BraidWord":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        return BraidWord(self.strands, self.letters * k)
-
 
 def parse_word(text: str, strands: int) -> BraidWord:
     """Parse CLI word syntax like ``s1 s2 -s2``."""
@@ -73,10 +68,7 @@ def torus_braid(p: int, q: int) -> BraidWord:
 
 def torus_braid_small(p: int, q: int) -> BraidWord:
     """The same torus link on p strands: (s1 s2 ... s_{p-1})^q."""
-    if p < 2 or q < 1:
-        raise ValueError(f"need p >= 2 and q >= 1, got p={p}, q={q}")
-    block = [(i, 1) for i in range(1, p)]
-    return BraidWord.of(p, block * q)
+    return torus_braid(q, p)
 
 
 def _descending_run(top: int, bottom: int) -> list[tuple[int, int]]:

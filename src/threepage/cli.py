@@ -23,8 +23,9 @@ from .diagram import (Orientation, braid_closure_diagram, pd_export, project,
 from .invariants import (CrossingLimitError, _jones_set, bracket_skein,
                          equal_up_to_mirror, profile)
 from .laurent import in_t_variable, poly_sort_key
-from .presentation import (ParseError, ThreePagePresentation, components,
-                           detect_split_pair, parse, validate)
+from .presentation import (InvalidPresentationError, ParseError,
+                           ThreePagePresentation, components,
+                           detect_split_pair, parse)
 from .render import RenderSpec, render
 from .search import (InvalidSearchLimit, census, census_text, check_n,
                      refute_t33_at_9, three_page_index)
@@ -61,39 +62,44 @@ def _output(path: str) -> Iterator[TextIO]:
         raise CliError(f"cannot write {path}: {exc}", USAGE_ERROR) from exc
 
 
-def _read_presentations(path: str) -> list[ThreePagePresentation]:
+def _read_presentations(path: str,
+                        ) -> list[ThreePagePresentation | InvalidPresentationError]:
+    """Each input line as a presentation, or as the error rejecting it as
+    invalid; a malformed line anywhere is a usage error."""
     lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise CliError("no presentations in input", USAGE_ERROR)
-    try:
-        return [parse(ln) for ln in lines]
-    except ParseError as exc:
-        raise CliError(f"parse error: {exc}", USAGE_ERROR) from exc
+    out: list[ThreePagePresentation | InvalidPresentationError] = []
+    for ln in lines:
+        try:
+            out.append(parse(ln))
+        except InvalidPresentationError as exc:
+            out.append(exc)
+        except ParseError as exc:
+            raise CliError(f"parse error: {exc}", USAGE_ERROR) from exc
+    return out
 
 
 def _read_one(path: str) -> ThreePagePresentation:
-    return _read_presentations(path)[0]
-
-
-def _check_max_n(args: argparse.Namespace) -> None:
-    if args.max_n is not None and args.max_n < 1:
-        raise CliError(f"--max-n must be a positive integer, got {args.max_n}",
-                       USAGE_ERROR)
+    """The first presentation of the input; every line must be valid."""
+    items = _read_presentations(path)
+    for item in items:
+        if isinstance(item, InvalidPresentationError):
+            raise item
+    return items[0]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     failures = 0
-    for k, pres in enumerate(_read_presentations(args.input), start=1):
-        report = validate(pres)
-        if report.ok:
-            pair = detect_split_pair(pres)
-            note = " (contains a split pair)" if pair else ""
-            print(f"line {k}: ok{note}")
-        else:
+    for k, item in enumerate(_read_presentations(args.input), start=1):
+        if isinstance(item, InvalidPresentationError):
             failures += 1
             print(f"line {k}: INVALID")
-            for v in report.violations:
+            for v in item.report.violations:
                 print(f"  - {v}")
+        else:
+            note = " (contains a split pair)" if detect_split_pair(item) else ""
+            print(f"line {k}: ok{note}")
     return DOMAIN_ERROR if failures else 0
 
 
@@ -174,19 +180,19 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    _check_max_n(args)
     if args.n_max < 3:
         raise CliError(f"--n-max must be at least 3, the smallest arc count of "
                        f"a presentation, got {args.n_max}", USAGE_ERROR)
+    if args.target_braid is None and args.target_file is None:
+        raise CliError("search needs --target-braid or --target-file", USAGE_ERROR)
+    if args.target_braid is not None and args.strands is None:
+        raise CliError("--target-braid requires --strands", USAGE_ERROR)
+    check_n(args.n_max, args.max_n)
     if args.target_braid is not None:
-        if args.strands is None:
-            raise CliError("--target-braid requires --strands", USAGE_ERROR)
         word = parse_word(args.target_braid, args.strands)
         target = profile(braid_closure_diagram(word))
-    elif args.target_file is not None:
-        target = profile(_read_one(args.target_file))
     else:
-        raise CliError("search needs --target-braid or --target-file", USAGE_ERROR)
+        target = profile(_read_one(args.target_file))
     result = three_page_index(target, args.n_max,
                               prune_split_pairs=args.prune_split_pairs,
                               max_n=args.max_n)
@@ -195,7 +201,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    _check_max_n(args)
     check_n(args.n, args.max_n)
     if args.out:
         with _output(args.out) as fh:

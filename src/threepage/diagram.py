@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .braids import BraidWord
-from .presentation import (ThreePagePresentation, arcs_interleave, require_valid,
-                           walk_components)
+from .presentation import ThreePagePresentation, arcs_interleave, walk_components
 
 CrossingTuple = tuple[int, int, int, int]
 
@@ -188,7 +187,6 @@ def project(p: ThreePagePresentation) -> PlanarDiagram:
     endpoint inside it; along the page-1 arc they come in the order of
     those inner endpoints.  The same holds with the pages swapped.
     """
-    require_valid(p)
     pairs = [(u, v) for u in p.pages[0] for v in p.pages[2] if arcs_interleave(u, v)]
     # per arc: (inner endpoint of the crossing arc, crossing, slot toward the
     # left end, slot toward the right end).  The ccw slot order at a crossing

@@ -10,6 +10,12 @@ between binding points.  A valid presentation satisfies:
 
 It follows that the number of arcs equals the number of binding points.
 
+Validity is checked once, where a presentation enters the program:
+``ThreePagePresentation.of`` (and so ``parse`` and the torus constructors)
+rejects an invalid one.  The plain constructor trusts its caller, and
+everything downstream (components, projection, rendering) assumes a valid
+presentation without checking again.
+
 Everything here is an immutable value; operations return new objects.
 """
 
@@ -29,10 +35,10 @@ class ParseError(ValueError):
 
 
 class InvalidPresentationError(ValueError):
-    """Raised when an operation requires a valid presentation but got violations."""
+    """Raised by ``ThreePagePresentation.of`` for an invalid presentation."""
 
     def __init__(self, report: "ValidationReport"):
-        super().__init__("; ".join(str(v) for v in report.violations))
+        super().__init__("; ".join(report.violations))
         self.report = report
 
 
@@ -65,10 +71,12 @@ class ThreePagePresentation:
     """n binding points plus an ordered triple of pages, each a sorted tuple
     of arcs (i, j) with i < j.
 
-    ``of`` normalises its input; the constructor takes pages in that form
-    as they are.  Validity is checked by validate(), not enforced here.
-    Page order is the cyclic order of the half-planes around the binding
-    axis; points are 1-indexed along the axis.
+    ``of`` normalises its input and rejects an invalid presentation.  The
+    constructor is the trusted path: it takes pages in normal form as they
+    are and checks nothing, so its caller must build a valid triple (the
+    enumerator and the symmetry images do so by construction).  Page order
+    is the cyclic order of the half-planes around the binding axis; points
+    are 1-indexed along the axis.
     """
 
     n: int
@@ -90,7 +98,11 @@ class ThreePagePresentation:
         if n > 2 * arcs:
             raise ParseError(f"n={n} exceeds twice the arc count {arcs}, "
                              "so some point meets no arc")
-        return ThreePagePresentation(n, pages)
+        p = ThreePagePresentation(n, pages)
+        report = validate(p)
+        if not report.ok:
+            raise InvalidPresentationError(report)
+        return p
 
     def placed_arcs(self) -> Iterator[PlacedArc]:
         for page, matching in enumerate(self.pages):
@@ -179,51 +191,9 @@ def parse(text: str) -> ThreePagePresentation:
 
 
 @dataclass(frozen=True)
-class NonCrossingViolated:
-    page: int
-    arc1: Arc
-    arc2: Arc
-
-    def __str__(self) -> str:
-        return f"arcs {self.arc1} and {self.arc2} interleave on page P{self.page + 1}"
-
-
-@dataclass(frozen=True)
-class EndpointShared:
-    page: int
-    point: int
-    arc1: Arc
-    arc2: Arc
-
-    def __str__(self) -> str:
-        return (f"arcs {self.arc1} and {self.arc2} share point {self.point} "
-                f"on page P{self.page + 1}")
-
-
-@dataclass(frozen=True)
-class DegreeViolated:
-    point: int
-    degree: int
-
-    def __str__(self) -> str:
-        return f"point {self.point} meets {self.degree} arcs (expected 2)"
-
-
-@dataclass(frozen=True)
-class PageEmpty:
-    page: int
-
-    def __str__(self) -> str:
-        return f"page P{self.page + 1} holds no arcs"
-
-
-Violation = NonCrossingViolated | EndpointShared | DegreeViolated | PageEmpty
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    violations: tuple[Violation, ...] = ()
+    violations: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -236,31 +206,26 @@ def validate(p: ThreePagePresentation) -> ValidationReport:
     certify a splittable sublink, see detect_split_pair) and are not
     reported here.
     """
-    violations: list[Violation] = []
-    for page, matching in enumerate(p.pages):
+    violations: list[str] = []
+    for page, matching in enumerate(p.pages, start=1):
         if not matching:
-            violations.append(PageEmpty(page))
+            violations.append(f"page P{page} holds no arcs")
         for x, a in enumerate(matching):
             for b in matching[x + 1:]:
                 shared = set(a) & set(b)
                 if shared:
-                    violations.append(EndpointShared(page, min(shared), a, b))
+                    violations.append(f"arcs {a} and {b} share point "
+                                      f"{min(shared)} on page P{page}")
                 elif arcs_interleave(a, b):
-                    violations.append(NonCrossingViolated(page, a, b))
+                    violations.append(f"arcs {a} and {b} interleave on page P{page}")
     degree = {pt: 0 for pt in range(1, p.n + 1)}
     for _, (i, j) in p.placed_arcs():
         degree[i] += 1
         degree[j] += 1
     for pt in range(1, p.n + 1):
         if degree[pt] != 2:
-            violations.append(DegreeViolated(pt, degree[pt]))
+            violations.append(f"point {pt} meets {degree[pt]} arcs (expected 2)")
     return ValidationReport(not violations, tuple(violations))
-
-
-def require_valid(p: ThreePagePresentation) -> None:
-    report = validate(p)
-    if not report.ok:
-        raise InvalidPresentationError(report)
 
 
 # -- components ------------------------------------------------------------
@@ -318,7 +283,6 @@ def walk_components(n: int, pages: PageTriple) -> list[tuple[Step, ...]]:
 def components(p: ThreePagePresentation) -> ComponentDecomposition:
     """Decompose a valid presentation into its link components, in the
     order and direction of ``walk_components``."""
-    require_valid(p)
     walks = walk_components(p.n, p.pages)
     return ComponentDecomposition(
         tuple(tuple(PlacedArc(page, (min(x, y), max(x, y))) for x, page, y in walk)

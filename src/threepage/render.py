@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .presentation import Arc, ThreePagePresentation, arcs_interleave, require_valid
+from .presentation import Arc, ThreePagePresentation, arcs_interleave
 
 PAGE_COLORS = ("#1f6fb2", "#2f9e44", "#c92a2a")
 GAP_RADIANS = 0.18
@@ -35,7 +35,6 @@ class RenderSpec:
 
 
 def render(p: ThreePagePresentation, spec: RenderSpec = RenderSpec()) -> str:
-    require_valid(p)
     if spec.format == "svg":
         return render_svg(p, spec)
     return render_ascii(p, spec)

@@ -74,16 +74,12 @@ class SearchConstraints:
 
     n: int
     required_components: Optional[int] = None
-    min_arcs_per_component: Optional[int] = None
     prune_split_pairs: bool = False
     min_arcs_per_page: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        if (self.required_components and self.min_arcs_per_component
-                and self.required_components * self.min_arcs_per_component > self.n):
-            raise ValueError("component minima exceed the arc budget")
 
 
 def noncrossing_matchings(points: Sequence[int],
@@ -105,10 +101,9 @@ def noncrossing_matchings(points: Sequence[int],
                 yield ((first, other),) + m_in + m_out
 
 
-def _component_sizes(pages: Sequence[tuple[Arc, ...]]) -> list[int]:
-    """Arc count of each link component of a valid presentation.
+def _component_count(pages: Sequence[tuple[Arc, ...]]) -> int:
+    """Number of link components of a valid presentation.
 
-    Every point meets two arcs, so a component has as many arcs as points.
     The walk leaves each point by the neighbour it did not come from; only a
     two-arc component has equal neighbours, and it closes either way.
     """
@@ -117,16 +112,15 @@ def _component_sizes(pages: Sequence[tuple[Arc, ...]]) -> list[int]:
         for i, j in page:
             neighbours.setdefault(i, []).append(j)
             neighbours.setdefault(j, []).append(i)
-    sizes = []
+    count = 0
     while neighbours:
         start, (point, _) = neighbours.popitem()
-        previous, size = start, 1
+        previous = start
         while point != start:
             a, b = neighbours.pop(point)
             previous, point = point, (b if a == previous else a)
-            size += 1
-        sizes.append(size)
-    return sizes
+        count += 1
+    return count
 
 
 def enumerate_presentations(c: SearchConstraints,
@@ -144,7 +138,6 @@ def enumerate_presentations(c: SearchConstraints,
     n = c.n
     points = tuple(range(1, n + 1))
     min_page = c.min_arcs_per_page or 1
-    check_components = c.required_components is not None or c.min_arcs_per_component
     # page 3 is fixed by its point set, so each set is matched only once
     page3_options: dict[tuple[int, ...], list] = {}
     for m1 in noncrossing_matchings(points):
@@ -177,13 +170,9 @@ def enumerate_presentations(c: SearchConstraints,
                 pages = (m1, m2, m3)
                 if min(orbit_images(pages, (f1, f2, f3))) != pages:
                     continue
-                if check_components:
-                    sizes = _component_sizes(pages)
-                    if (c.required_components is not None
-                            and len(sizes) != c.required_components):
-                        continue
-                    if c.min_arcs_per_component and min(sizes) < c.min_arcs_per_component:
-                        continue
+                if (c.required_components is not None
+                        and _component_count(pages) != c.required_components):
+                    continue
                 yield ThreePagePresentation(n, pages)
 
 
@@ -191,10 +180,6 @@ def enumerate_presentations(c: SearchConstraints,
 class CensusEntry:
     presentation: ThreePagePresentation
     profile: InvariantProfile
-
-    @property
-    def n(self) -> int:
-        return self.presentation.n
 
     def line(self) -> str:
         prof = self.profile
@@ -273,12 +258,13 @@ def refute_t33_at_9(max_n: Optional[int] = None) -> RefutationReport:
     """Show no 9-point presentation realises the (3,3)-torus link.
 
     The link has three components and is non-split, so two arcs sharing both
-    endpoints (a two-arc component) would certify splittability: every
-    component needs at least three arcs, hence exactly three at n = 9.  A
-    three-arc component occupies each page once (its page sequence must be
-    adjacent-distinct around a 3-cycle), so all pages hold exactly three
-    arcs; with bridge number 3 that matches the three-arcs-per-page lower
-    bound.  The search space is enumerated under those forced constraints
+    endpoints would certify splittability.  Pruning such split pairs also
+    removes every two-arc component (two arcs on different pages with the
+    same endpoints), so every component has at least three arcs, hence
+    exactly three at n = 9.  A three-arc component occupies each page once
+    (its page sequence must be adjacent-distinct around a 3-cycle), so all
+    pages hold exactly three arcs; with bridge number 3 that matches the
+    three-arcs-per-page lower bound.  The search space is enumerated under those forced constraints
     and every candidate is profiled against the closed torus braid.
     """
     from .torus import closure_profile
@@ -287,8 +273,7 @@ def refute_t33_at_9(max_n: Optional[int] = None) -> RefutationReport:
 
     target = closure_profile(3, 3)
     constraints = SearchConstraints(
-        9, required_components=3, min_arcs_per_component=3,
-        prune_split_pairs=True, min_arcs_per_page=3)
+        9, required_components=3, prune_split_pairs=True, min_arcs_per_page=3)
     examined = 0
     linking_candidates = 0
     witnesses: list[ThreePagePresentation] = []

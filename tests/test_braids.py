@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -26,6 +27,11 @@ def test_torus_braid_small_words():
         torus_braid_small(1, 3)
     with pytest.raises(ValueError):
         torus_braid(2, 1)
+
+
+def test_torus_braid_small_swaps_the_parameters():
+    for p, q in itertools.product(range(2, 6), range(1, 7)):
+        assert torus_braid_small(p, q) == torus_braid(q, p), (p, q)
 
 
 def test_small_and_standard_forms_present_the_same_link():

@@ -68,8 +68,9 @@ def test_validate_checks_each_line_once(monkeypatch):
         calls.append(p)
         return real_validate(p)
 
-    for module in (cli, presentation):
-        monkeypatch.setattr(module, "validate", counting_validate)
+    # parse checks each line; the command reads the verdict from parse alone
+    assert not hasattr(cli, "validate")
+    monkeypatch.setattr(presentation, "validate", counting_validate)
     lines = [HOPF.serialize(), "n=4; P1:1-2; P2:1-2,3-4; P3:3-4",
              "n=3; P1:1-2; P2:2-3; P3:1-3", "n=4; P1:1-3,2-4; P2:1-2; P3:3-4"]
     code, out, _ = run(["validate", "-"], stdin_text="\n".join(lines),
@@ -85,10 +86,42 @@ def test_validate_invalid_is_domain_error(monkeypatch):
     assert code == 1 and "INVALID" in out
 
 
+INTERLEAVED = "n=4; P1:1-3,2-4; P2:1-2; P3:3-4"
+
+
+@pytest.mark.parametrize("command", ["invariants", "diagram", "components",
+                                     "render"])
+def test_invalid_presentation_is_domain_error(monkeypatch, command):
+    code, out, err = run([command, "-"], stdin_text=INTERLEAVED + "\n",
+                         monkeypatch=monkeypatch)
+    assert (code, out, err) == (
+        1, "", "error: arcs (1, 3) and (2, 4) interleave on page P1\n")
+
+
+def test_single_input_command_rejects_a_later_invalid_line(monkeypatch):
+    # every line is checked where it is parsed, not only the one used
+    text = f"{HOPF.serialize()}\n{INTERLEAVED}\n"
+    code, out, err = run(["invariants", "-"], stdin_text=text,
+                         monkeypatch=monkeypatch)
+    assert (code, out, err) == (
+        1, "", "error: arcs (1, 3) and (2, 4) interleave on page P1\n")
+    # a malformed line is still a usage error, wherever it is
+    code, out, err = run(["invariants", "-"],
+                         stdin_text=f"{INTERLEAVED}\nn=3; P1:1-9; P2:2-3; P3:1-3\n",
+                         monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse error: ")
+
+
 def test_malformed_input_is_usage_error(monkeypatch):
     code, _, err = run(["validate", "-"], stdin_text="n=3; P1:1-9; P2:2-3; P3:1-3\n",
                        monkeypatch=monkeypatch)
     assert code == 2
+    assert "parse error" in err
+    # a malformed line after valid and invalid ones: nothing is printed
+    text = f"{HOPF.serialize()}\n{INTERLEAVED}\nn=3; P1:1-9; P2:2-3; P3:1-3\n"
+    code, out, err = run(["validate", "-"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
     assert "parse error" in err
 
 
@@ -207,11 +240,28 @@ def test_negative_env_limit_is_usage_error(monkeypatch):
 def test_non_positive_max_n_flag_is_usage_error(monkeypatch):
     code, _, err = run(["census", "--n", "3", "--max-n", "-3"])
     assert code == 2
-    assert "--max-n must be a positive integer, got -3" in err
+    assert "max_n must be a positive integer, got -3" in err
     code, _, err = run(["search", "--n-max", "4", "--max-n", "0",
                         "--target-braid", "s1", "--strands", "2"])
     assert code == 2
-    assert "--max-n must be a positive integer, got 0" in err
+    assert "max_n must be a positive integer, got 0" in err
+
+
+def test_search_checks_limit_before_building_the_target(monkeypatch):
+    from threepage import cli
+
+    def no_profile(*args, **kwargs):
+        raise AssertionError("target profiled before the limit was checked")
+
+    monkeypatch.setattr(cli, "profile", no_profile)
+    code, out, err = run(["search", "--n-max", "6", "--max-n", "5",
+                          "--target-braid", "s1 s1", "--strands", "2"])
+    assert code == 1 and out == ""
+    assert "n=6 exceeds the search limit 5" in err
+    # a missing target is still a usage error, whatever the limit
+    code, out, err = run(["search", "--n-max", "11"])
+    assert (code, out) == (2, "")
+    assert "search needs --target-braid or --target-file" in err
 
 
 def test_non_integer_max_n_flag_is_usage_error(monkeypatch):

@@ -3,13 +3,15 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threepage.presentation import (DegreeViolated, EndpointShared,
-                                    InvalidPresentationError,
-                                    NonCrossingViolated, PageEmpty, ParseError,
+from threepage import presentation
+from threepage.diagram import project
+from threepage.invariants import profile
+from threepage.presentation import (InvalidPresentationError, ParseError,
                                     PlacedArc, ThreePagePresentation,
-                                    components, detect_split_pair,
-                                    is_canonical, parse, rotate_pages,
-                                    symmetry_orbit, validate)
+                                    ValidationReport, components,
+                                    detect_split_pair, is_canonical, parse,
+                                    rotate_pages, symmetry_orbit, validate)
+from threepage.render import RenderSpec, render
 from threepage.search import SearchConstraints, enumerate_presentations
 from threepage.torus import HOPF
 
@@ -22,25 +24,72 @@ def test_hopf_fixture_is_valid(hopf):
     assert hopf.arc_count() == hopf.n == 6
 
 
+def _trusted(n, *pages):
+    """A presentation built by the plain constructor, which checks nothing."""
+    return ThreePagePresentation(n, tuple(tuple(sorted(pg)) for pg in pages))
+
+
+#: invalid presentations (n and pages) with the violations validate reports
+INTERLEAVED = ((4, [(1, 3), (2, 4)], [(1, 2)], [(3, 4)]),
+               ("arcs (1, 3) and (2, 4) interleave on page P1",))
+EMPTY_PAGE = ((3, [(1, 2)], [(2, 3)], []),
+              ("page P3 holds no arcs", "point 1 meets 1 arcs (expected 2)",
+               "point 3 meets 1 arcs (expected 2)"))
+SHARED_ENDPOINT = ((5, [(1, 2), (2, 3)], [(4, 5)], [(1, 3), (4, 5)]),
+                   ("arcs (1, 2) and (2, 3) share point 2 on page P1",))
+
+
 def test_noncrossing_violation_detected():
-    p = ThreePagePresentation.of(4, [(1, 3), (2, 4)], [(1, 2)], [(3, 4)])
-    report = validate(p)
-    assert not report.ok
-    assert NonCrossingViolated(0, (1, 3), (2, 4)) in report.violations
+    args, violations = INTERLEAVED
+    assert validate(_trusted(*args)) == ValidationReport(False, violations)
 
 
 def test_degree_and_empty_page_violations():
-    p = ThreePagePresentation.of(3, [(1, 2)], [(2, 3)], [])
-    report = validate(p)
-    assert DegreeViolated(1, 1) in report.violations
-    assert PageEmpty(2) in report.violations
+    args, violations = EMPTY_PAGE
+    assert validate(_trusted(*args)).violations == violations
 
 
 def test_shared_endpoint_on_one_page():
-    p = ThreePagePresentation.of(5, [(1, 2), (2, 3)], [(4, 5)], [(1, 3), (4, 5)])
-    report = validate(p)
-    assert any(isinstance(v, EndpointShared) and v.point == 2
-               for v in report.violations)
+    args, violations = SHARED_ENDPOINT
+    assert validate(_trusted(*args)).violations == violations
+
+
+# each message is the one project raised when it still checked its input
+@pytest.mark.parametrize("example, message", [
+    (INTERLEAVED, "arcs (1, 3) and (2, 4) interleave on page P1"),
+    (EMPTY_PAGE, "page P3 holds no arcs; point 1 meets 1 arcs (expected 2); "
+                 "point 3 meets 1 arcs (expected 2)"),
+    (SHARED_ENDPOINT, "arcs (1, 2) and (2, 3) share point 2 on page P1")],
+    ids=["interleave", "empty-page", "shared-endpoint"])
+def test_of_and_parse_reject_invalid_presentations(example, message):
+    args, violations = example
+    bad = _trusted(*args)
+    for build in (lambda: ThreePagePresentation.of(*args),
+                  lambda: parse(bad.serialize()),
+                  lambda: parse(bad.to_json())):
+        with pytest.raises(InvalidPresentationError) as info:
+            build()
+        assert str(info.value) == message
+        assert info.value.report.violations == violations
+
+
+def test_projection_trusts_a_valid_presentation(monkeypatch, hopf):
+    calls = []
+    real_validate = presentation.validate
+
+    def counting_validate(p):
+        calls.append(p)
+        return real_validate(p)
+
+    monkeypatch.setattr(presentation, "validate", counting_validate)
+    components(hopf)
+    project(hopf)
+    profile(hopf)
+    render(hopf)
+    render(hopf, RenderSpec(format="ascii"))
+    assert calls == []
+    ThreePagePresentation.of(hopf.n, *hopf.pages)
+    assert calls == [hopf]
 
 
 def test_components_unknot_triangle(unknot_triangle):
@@ -56,10 +105,10 @@ def test_components_hopf(hopf):
     assert all(len(c) == 3 for c in decomp.cycles)
 
 
-def test_components_requires_validity():
-    bad = ThreePagePresentation.of(3, [(1, 2)], [(2, 3)], [])
+def test_of_rejects_what_components_cannot_decompose():
+    # point 1 and point 3 meet one arc each, so no walk closes
     with pytest.raises(InvalidPresentationError):
-        components(bad)
+        ThreePagePresentation.of(3, [(1, 2)], [(2, 3)], [])
 
 
 def test_split_pair_detected():
@@ -95,7 +144,7 @@ def test_split_pair_absent(hopf, unknot_triangle):
 
 def test_split_pair_needs_no_valid_presentation():
     # page 3 is empty and points 3, 4 meet one arc each
-    bad = ThreePagePresentation.of(4, [(1, 2), (3, 4)], [(1, 2)], [])
+    bad = _trusted(4, [(1, 2), (3, 4)], [(1, 2)], [])
     assert not validate(bad).ok
     assert detect_split_pair(bad) == (PlacedArc(0, (1, 2)), PlacedArc(1, (1, 2)))
 

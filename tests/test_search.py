@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from threepage.invariants import profile, equal_up_to_mirror
-from threepage.presentation import detect_split_pair, is_canonical, validate
+from threepage.presentation import (components, detect_split_pair,
+                                    is_canonical, validate)
 from threepage.search import (InvalidSearchLimit, SearchConstraints,
                               SearchLimitExceeded, census,
                               enumerate_presentations, noncrossing_matchings,
@@ -72,12 +73,8 @@ def test_stream_equals_reference_over_constraint_grid():
     for n, split, min_page in itertools.product(range(3, 8), (False, True), (1, 2)):
         base = list(reference_presentations(SearchConstraints(
             n, prune_split_pairs=split, min_arcs_per_page=min_page)))
-        for required, per_component in itertools.product((None, 1, 2, 3),
-                                                         (None, 2, 3)):
-            try:
-                c = SearchConstraints(n, required, per_component, split, min_page)
-            except ValueError:
-                continue
+        for required in (None, 1, 2, 3):
+            c = SearchConstraints(n, required, split, min_page)
             fast = list(enumerate_presentations(c))
             assert fast == [p for p in base if reference_component_filter(p, c)], c
             for pres in fast:
@@ -178,6 +175,14 @@ def test_refute_rejects_zero_max_n():
         refute_t33_at_9(max_n=0)
 
 
-def test_constraint_consistency_check():
-    with pytest.raises(ValueError):
-        SearchConstraints(8, required_components=3, min_arcs_per_component=3)
+def test_split_pruning_leaves_no_two_arc_component():
+    # two arcs on different pages with the same endpoints form a split pair,
+    # so split pruning alone keeps every component at three arcs or more
+    for n in range(3, 9):
+        for pres in _all(n, prune_split_pairs=True):
+            assert min(map(len, components(pres).cycles)) >= 3, pres
+    # the refute-t33 stream: three components of exactly three arcs each
+    refute = _all(9, required_components=3, prune_split_pairs=True,
+                  min_arcs_per_page=3)
+    assert len(refute) == 500
+    assert all(sorted(map(len, components(p).cycles)) == [3, 3, 3] for p in refute)

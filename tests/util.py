@@ -28,7 +28,7 @@ from threepage.invariants import (DEFAULT_CROSSING_LIMIT, CrossingLimitError,
 from threepage.laurent import LOOP, LaurentPoly, writhe_unit
 from threepage.presentation import (Arc, PlacedArc, ThreePagePresentation,
                                     arcs_interleave, components, is_canonical,
-                                    require_valid, symmetry_orbit, validate)
+                                    symmetry_orbit, validate)
 from threepage.search import SearchConstraints, noncrossing_matchings
 
 # -- geometric semicircle oracle -------------------------------------------------
@@ -126,7 +126,7 @@ def naive_valid_presentations(n: int) -> list[ThreePagePresentation]:
             continue
         if len(m1) + len(m2) + len(m3) != n:
             continue
-        pres = ThreePagePresentation.of(n, m1, m2, m3)
+        pres = ThreePagePresentation(n, (m1, m2, m3))
         if validate(pres).ok:
             out.append(pres)
     return out
@@ -134,16 +134,9 @@ def naive_valid_presentations(n: int) -> list[ThreePagePresentation]:
 
 def reference_component_filter(pres: ThreePagePresentation,
                                c: SearchConstraints) -> bool:
-    """The component constraints of c, checked through components()."""
-    if c.required_components is not None or c.min_arcs_per_component:
-        cycles = components(pres).cycles
-        if (c.required_components is not None
-                and len(cycles) != c.required_components):
-            return False
-        if c.min_arcs_per_component and any(
-                len(cy) < c.min_arcs_per_component for cy in cycles):
-            return False
-    return True
+    """The component constraint of c, checked through components()."""
+    return (c.required_components is None
+            or len(components(pres)) == c.required_components)
 
 
 def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
@@ -176,7 +169,7 @@ def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
                     continue
                 if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
                     continue
-                pres = ThreePagePresentation.of(n, m1, m2, m3)
+                pres = ThreePagePresentation(n, (m1, m2, m3))
                 if not validate(pres).ok:
                     continue
                 if not is_canonical(pres):
@@ -340,7 +333,6 @@ def insert_kink(p: ThreePagePresentation, placed: PlacedArc) -> ThreePagePresent
     an isotopy of the presented link, so the result presents the same link
     with n+1 points.
     """
-    require_valid(p)
     page, (a, b) = placed
     if placed.arc not in p.pages[page]:
         raise ValueError(f"{placed} not present")
