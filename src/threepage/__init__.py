@@ -4,15 +4,15 @@ from .braids import (BraidWord, FactorizationReport, cycle_count, exponent_sum,
                      format_word, parse_word, permutation, torus_braid,
                      torus_braid_lower_twist_form, torus_braid_small,
                      torus_braid_upper_twist_form, verify_factorization)
-from .diagram import (Orientation, PlanarDiagram, braid_closure_diagram,
-                      pd_export, project, trace)
+from .diagram import (PlanarDiagram, braid_closure_diagram, pd_export, project,
+                      trace)
 from .invariants import (CrossingLimitError, InvariantProfile, bracket_skein,
                          equal_up_to_mirror, jones_set, profile)
 from .laurent import LOOP, ONE, LaurentPoly, in_t_variable
-from .presentation import (ComponentDecomposition, InvalidPresentationError,
-                           ParseError, PlacedArc, ThreePagePresentation,
-                           ValidationReport, components, detect_split_pair,
-                           is_canonical, parse, symmetry_orbit, validate)
+from .presentation import (InvalidPresentationError, ParseError, PlacedArc,
+                           ThreePagePresentation, ValidationReport, components,
+                           detect_split_pair, is_canonical, parse,
+                           symmetry_orbit, validate)
 from .render import RenderSpec, render, render_ascii, render_svg
 from .search import (CensusEntry, IndexSearchResult, InvalidSearchLimit,
                      RefutationReport, SearchConstraints, SearchLimitExceeded,

@@ -68,6 +68,8 @@ def torus_braid(p: int, q: int) -> BraidWord:
 
 def torus_braid_small(p: int, q: int) -> BraidWord:
     """The same torus link on p strands: (s1 s2 ... s_{p-1})^q."""
+    if p < 2 or q < 1:
+        raise ValueError(f"need p >= 2 and q >= 1, got p={p}, q={q}")
     return torus_braid(q, p)
 
 

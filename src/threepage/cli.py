@@ -18,8 +18,7 @@ from typing import Iterator, Optional, TextIO
 from . import __version__
 from .braids import (cycle_count, exponent_sum, format_word, parse_word,
                      permutation)
-from .diagram import (Orientation, braid_closure_diagram, pd_export, project,
-                      trace)
+from .diagram import braid_closure_diagram, pd_export, project, trace
 from .invariants import (CrossingLimitError, _jones_set, bracket_skein,
                          equal_up_to_mirror, profile)
 from .laurent import in_t_variable, poly_sort_key
@@ -42,12 +41,12 @@ class CliError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", USAGE_ERROR) from exc
 
 
@@ -105,11 +104,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_components(args: argparse.Namespace) -> int:
     pres = _read_one(args.input)
-    decomp = components(pres)
-    print(f"components={len(decomp.cycles)}")
-    for cycle, points in zip(decomp.cycles, decomp.point_cycles):
-        arcs = " ".join(f"P{pa.page + 1}:{pa.arc[0]}-{pa.arc[1]}" for pa in cycle)
-        print(f"  points {'-'.join(map(str, points))}: {arcs}")
+    walks = components(pres)
+    print(f"components={len(walks)}")
+    for walk in walks:
+        arcs = " ".join(f"P{page + 1}:{min(x, y)}-{max(x, y)}" for x, page, y in walk)
+        print(f"  points {'-'.join(str(x) for x, _, _ in walk)}: {arcs}")
     return 0
 
 
@@ -157,7 +156,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     tr = trace(d)
     bracket = bracket_skein(d)
     jones = sorted(_jones_set(tr, bracket), key=poly_sort_key)
-    base = Orientation.base(tr.component_count)
+    base = (False,) * tr.component_count
     print(f"components = {tr.component_count}")
     print(f"crossings  = {len(d.crossings)}")
     print(f"writhe(base orientation) = {tr.writhe(base)}")

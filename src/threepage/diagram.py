@@ -4,7 +4,9 @@ A diagram is a list of crossings, each a 4-tuple of edge labels read
 counterclockwise with the under-strand occupying slots 0 and 2 and the
 over-strand slots 1 and 3.  Closed curves without crossings are tracked by a
 count of free loops.  Diagrams store the combinatorial embedding only; no
-coordinates (rendering recomputes semicircle geometry).
+coordinates (rendering recomputes semicircle geometry).  The producers,
+``project`` and ``braid_closure_diagram``, build well-formed diagrams (each
+edge label at exactly two slots) by construction; the tests check them.
 
 Projection convention for three-page presentations (fixed globally):
 
@@ -33,45 +35,24 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .braids import BraidWord
-from .presentation import ThreePagePresentation, arcs_interleave, walk_components
+from .presentation import ThreePagePresentation, arcs_interleave, components
 
 CrossingTuple = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
 class PlanarDiagram:
-    """Crossings as ccw edge 4-tuples (under at slots 0/2, over at 1/3)."""
+    """Crossings as ccw edge 4-tuples (under at slots 0/2, over at 1/3),
+    unchecked: producers build well-formed diagrams and the tests check them."""
 
     crossings: tuple[CrossingTuple, ...]
     free_loops: int = 0
-    #: optional provenance for projections: per presentation cycle with
-    #: crossings, (first edge id, head incidence of that edge along the walk)
+    #: optional provenance for projections: per component walk, (first edge
+    #: id, head incidence of that edge along the walk), or None without crossings
     walk_heads: Optional[tuple[Optional[tuple[int, Incidence]], ...]] = None
-
-    def __post_init__(self) -> None:
-        seen: dict[int, int] = {}
-        for t in self.crossings:
-            for e in t:
-                seen[e] = seen.get(e, 0) + 1
-        bad = {e: k for e, k in seen.items() if k != 2}
-        if bad:
-            raise ValueError(f"edges must occur exactly twice at crossings: {bad}")
-        if self.free_loops < 0:
-            raise ValueError("free loop count cannot be negative")
 
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """A direction choice per component, as flips of the traced base direction."""
-
-    flips: tuple[bool, ...]
-
-    @staticmethod
-    def base(k: int) -> "Orientation":
-        return Orientation((False,) * k)
 
 
 # -- strand tracing ----------------------------------------------------------
@@ -81,7 +62,8 @@ Incidence = tuple[int, int]  # (crossing index, slot)
 
 @dataclass(frozen=True)
 class Trace:
-    """Base traversal data: components, edge directions and crossing signs."""
+    """Base traversal data: components, edge directions and crossing signs.
+    An orientation is a tuple of per-component flips of the base direction."""
 
     #: total component count including free loops
     component_count: int
@@ -93,27 +75,26 @@ class Trace:
     #: self-crossings, [i][j] is lk(i, j)
     matrix: tuple[tuple[int, ...], ...]
 
-    def orientations(self) -> Iterator[Orientation]:
-        for flips in itertools.product((False, True), repeat=self.component_count):
-            yield Orientation(flips)
+    def orientations(self) -> Iterator[tuple[bool, ...]]:
+        return itertools.product((False, True), repeat=self.component_count)
 
-    def _signs(self, o: Orientation) -> list[int]:
-        """+1 or -1 per component: its direction under o against the base."""
-        if len(o.flips) != self.component_count:
-            raise ValueError(f"orientation has {len(o.flips)} flips for "
+    def _signs(self, flips: tuple[bool, ...]) -> list[int]:
+        """+1 or -1 per component: its direction under flips against the base."""
+        if len(flips) != self.component_count:
+            raise ValueError(f"orientation has {len(flips)} flips for "
                              f"{self.component_count} components")
-        return [-1 if f else 1 for f in o.flips]
+        return [-1 if f else 1 for f in flips]
 
-    def writhe(self, o: Orientation) -> int:
+    def writhe(self, flips: tuple[bool, ...]) -> int:
         """Signed crossing sum under the stated right-hand sign rule."""
         # a crossing's sign flips with each of its two strands' components
-        e = self._signs(o)
+        e = self._signs(flips)
         return sum(ei * ej * w for ei, row in zip(e, self.matrix)
                    for ej, w in zip(e, row))
 
-    def linking_matrix(self, o: Orientation) -> tuple[tuple[int, ...], ...]:
+    def linking_matrix(self, flips: tuple[bool, ...]) -> tuple[tuple[int, ...], ...]:
         """lk(i, j) = half the signed sum of crossings between components i and j."""
-        e = self._signs(o)
+        e = self._signs(flips)
         return tuple(tuple(0 if i == j else ei * ej * w
                            for j, (ej, w) in enumerate(zip(e, row)))
                      for i, (ei, row) in enumerate(zip(e, self.matrix)))
@@ -213,7 +194,7 @@ def project(p: ThreePagePresentation) -> PlanarDiagram:
     free_loops = 0
     next_edge = 0
     walk_heads: list[Optional[tuple[int, Incidence]]] = []
-    for walk in walk_components(p.n, p.pages):
+    for walk in components(p):
         attachments = [a for step in walk for a in attach.get(step, ())]
         if not attachments:
             free_loops += 1

@@ -231,34 +231,19 @@ def validate(p: ThreePagePresentation) -> ValidationReport:
 # -- components ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    """Cycles of the degree-2 graph on binding points whose edges are arcs.
-
-    Each cycle is the ordered walk of placed arcs along one link component;
-    ``point_cycles`` gives the binding points in matching traversal order.
-    """
-
-    cycles: tuple[tuple[PlacedArc, ...], ...]
-    point_cycles: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-
 Step = tuple[int, int, int]  # (point, page, next point)
 
 
-def walk_components(n: int, pages: PageTriple) -> list[tuple[Step, ...]]:
+def components(p: ThreePagePresentation) -> list[tuple[Step, ...]]:
     """The link components of a valid presentation as walks along its arcs.
 
     Each walk starts at its smallest binding point, leaves it on the lower
     of its two pages and, at every later point, leaves on the page it did
-    not arrive on.  No validation: every point must meet two arcs on two
-    distinct pages.
+    not arrive on.  Walks come in the order of their starting points.
     """
+    n = p.n
     ends: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for page, arcs in enumerate(pages):
+    for page, arcs in enumerate(p.pages):
         for i, j in arcs:
             ends[i].append((page, j))
             ends[j].append((page, i))
@@ -278,16 +263,6 @@ def walk_components(n: int, pages: PageTriple) -> list[tuple[Step, ...]]:
             point, (page, nxt) = nxt, (b if a[0] == page else a)
         walks.append(tuple(walk))
     return walks
-
-
-def components(p: ThreePagePresentation) -> ComponentDecomposition:
-    """Decompose a valid presentation into its link components, in the
-    order and direction of ``walk_components``."""
-    walks = walk_components(p.n, p.pages)
-    return ComponentDecomposition(
-        tuple(tuple(PlacedArc(page, (min(x, y), max(x, y))) for x, page, y in walk)
-              for walk in walks),
-        tuple(tuple(x for x, _, _ in walk) for walk in walks))
 
 
 def detect_split_pair(p: ThreePagePresentation) -> Optional[tuple[PlacedArc, PlacedArc]]:
@@ -335,11 +310,6 @@ def orbit_images(pages: PageTriple, flipped: PageTriple) -> tuple[PageTriple, ..
 
 def _images(p: ThreePagePresentation) -> tuple[PageTriple, ...]:
     return orbit_images(p.pages, tuple(flip_page(p.n, a) for a in p.pages))  # type: ignore[arg-type]
-
-
-def rotate_pages(p: ThreePagePresentation, k: int) -> ThreePagePresentation:
-    """Rotate the cyclic page order so that page k + 1 comes first."""
-    return ThreePagePresentation(p.n, _images(p)[k % 3])
 
 
 def symmetry_orbit(p: ThreePagePresentation) -> Iterator[ThreePagePresentation]:

@@ -15,7 +15,7 @@ from typing import Optional
 from .braids import torus_braid
 from .diagram import braid_closure_diagram
 from .invariants import InvariantProfile, profile
-from .presentation import ThreePagePresentation, rotate_pages
+from .presentation import ThreePagePresentation
 
 #: The six-arc presentation of the Hopf link used as a fixture throughout.
 HOPF = ThreePagePresentation.of(
@@ -121,7 +121,7 @@ def tpq_tight(p: int, q: int) -> ThreePagePresentation:
         back = [(1, q)] + [(q + j, n + 1 - j) for j in range(1, 2 * p - 1)]
         bottom = [(1 + k, n + 1 - k) for k in range(1, q)]
         front = [(k, 2 * q - k) for k in range(1, q)]
-        return rotate_pages(ThreePagePresentation.of(n, back, bottom, front), 1)
+        return ThreePagePresentation.of(n, bottom, front, back)
     front = [(1 + k, n + 1 - k) for k in range(1, q)]
     back = ([(k, q + 2 * p - k) for k in range(1, p + 1)]
             + [(q - p + 1 + j, q + p - 1 - j) for j in range(p - 1)])

@@ -13,6 +13,8 @@ from typing import Optional, Union
 
 from threepage.diagram import CrossingTuple, PlanarDiagram, _incidences
 
+from util import assert_well_formed
+
 # -- faces and planarity -------------------------------------------------------
 
 Dart = tuple[int, int]  # (crossing, slot): the half-edge leaving that slot
@@ -132,6 +134,11 @@ Site = Union[R1Insert, R1Remove, R2Insert, R2Remove, R3Slide]
 _CURL_SLOTS = ((0, 1), (1, 2), (2, 3), (0, 3))
 
 
+def _diagram(crossings: tuple[CrossingTuple, ...], free_loops: int) -> PlanarDiagram:
+    """A diagram built by a move, asserted well-formed as it is built."""
+    return assert_well_formed(PlanarDiagram(crossings, free_loops))
+
+
 def _fresh_edges(d: PlanarDiagram, k: int) -> list[int]:
     top = max((e for t in d.crossings for e in t), default=-1)
     return list(range(top + 1, top + 1 + k))
@@ -193,7 +200,7 @@ def _apply_r1_insert(d: PlanarDiagram, site: R1Insert) -> PlanarDiagram:
             raise ValueError("no free loop to kink")
         e, loop = _fresh_edges(d, 2)
         kink = (e, e, loop, loop) if site.positive else (e, loop, loop, e)
-        return PlanarDiagram(tuple(crossings) + (kink,), d.free_loops - 1)
+        return _diagram(tuple(crossings) + (kink,), d.free_loops - 1)
     inc = _incidences(d).get(site.edge)
     if not inc:
         raise ValueError(f"edge {site.edge} not in diagram")
@@ -201,7 +208,7 @@ def _apply_r1_insert(d: PlanarDiagram, site: R1Insert) -> PlanarDiagram:
     _replace_at(crossings, inc[1], tail)
     kink = ((site.edge, tail, loop, loop) if site.positive
             else (site.edge, loop, loop, tail))
-    return PlanarDiagram(tuple(crossings) + (kink,), d.free_loops)
+    return _diagram(tuple(crossings) + (kink,), d.free_loops)
 
 
 def _apply_r1_remove(d: PlanarDiagram, site: R1Remove) -> PlanarDiagram:
@@ -209,7 +216,7 @@ def _apply_r1_remove(d: PlanarDiagram, site: R1Remove) -> PlanarDiagram:
     if not any(t[a] == t[b] for a, b in _CURL_SLOTS):
         raise ValueError(f"crossing {site.crossing} is not a curl")
     kept, loops = _rewire(list(d.crossings), {site.crossing})
-    return PlanarDiagram(kept, d.free_loops + loops)
+    return _diagram(kept, d.free_loops + loops)
 
 
 # -- R2 ------------------------------------------------------------------------
@@ -260,7 +267,7 @@ def _apply_r2_insert(d: PlanarDiagram, site: R2Insert) -> PlanarDiagram:
         if mirrored:
             x1 = (x1[0], x1[3], x1[2], x1[1])
             x2 = (x2[0], x2[3], x2[2], x2[1])
-        cand = PlanarDiagram(tuple(crossings) + (x1, x2), d.free_loops)
+        cand = _diagram(tuple(crossings) + (x1, x2), d.free_loops)
         if is_planar(cand) and _bigon_exists(cand, em, fm):
             return cand
     raise ValueError("no planar embedding for this poke; not a shared face?")
@@ -288,7 +295,7 @@ def r2_removal_sites(d: PlanarDiagram) -> list[R2Remove]:
 def _apply_r2_remove(d: PlanarDiagram, site: R2Remove) -> PlanarDiagram:
     (c1, _), (c2, _) = site.darts
     kept, loops = _rewire(list(d.crossings), {c1, c2})
-    return PlanarDiagram(kept, d.free_loops + loops)
+    return _diagram(kept, d.free_loops + loops)
 
 
 # -- R3 ------------------------------------------------------------------------
@@ -362,7 +369,7 @@ def _apply_r3(d: PlanarDiagram, site: R3Slide) -> PlanarDiagram:
         triple = (new_p, new_q, new_r)
         if mirrored:
             triple = tuple((t[0], t[3], t[2], t[1]) for t in triple)
-        cand = PlanarDiagram(others + triple, d.free_loops)
+        cand = _diagram(others + triple, d.free_loops)
         if is_planar(cand):
             return cand
     raise ValueError("no planar embedding after slide")

@@ -29,6 +29,13 @@ def test_torus_braid_small_words():
         torus_braid(2, 1)
 
 
+def test_torus_braid_small_reports_its_own_parameters():
+    with pytest.raises(ValueError, match=r"^need p >= 2 and q >= 1, got p=1, q=3$"):
+        torus_braid_small(1, 3)
+    with pytest.raises(ValueError, match=r"^need p >= 2 and q >= 1, got p=2, q=0$"):
+        torus_braid_small(2, 0)
+
+
 def test_torus_braid_small_swaps_the_parameters():
     for p, q in itertools.product(range(2, 6), range(1, 7)):
         assert torus_braid_small(p, q) == torus_braid(q, p), (p, q)

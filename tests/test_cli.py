@@ -1,17 +1,17 @@
 import io
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from threepage.cli import main
-from threepage.torus import HOPF
+from threepage.torus import HOPF, tnn
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
     out, err = io.StringIO(), io.StringIO()
     if stdin_text is not None:
-        import sys
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -151,9 +151,38 @@ def test_point_count_beyond_twice_the_arcs_is_usage_error(monkeypatch, text):
 
 
 def test_components_output(monkeypatch):
-    code, out, _ = run(["components", "-"], stdin_text=HOPF.serialize(),
-                       monkeypatch=monkeypatch)
-    assert code == 0 and "components=2" in out
+    code, out, err = run(["components", "-"], stdin_text=HOPF.serialize(),
+                         monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == ("components=2\n"
+                   "  points 1-3-5: P1:1-3 P2:3-5 P3:1-5\n"
+                   "  points 2-6-4: P2:2-6 P1:4-6 P3:2-4\n")
+    code, out, err = run(["components", "-"], stdin_text=tnn(3).serialize(),
+                         monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == ("components=3\n"
+                   "  points 1-5-8: P1:1-5 P2:5-8 P3:1-8\n"
+                   "  points 2-4-9-7: P1:2-4 P2:4-9 P1:7-9 P3:2-7\n"
+                   "  points 3-10-6: P2:3-10 P1:6-10 P3:3-6\n")
+
+
+NOT_UTF8 = b"\xff\xfe\x00bad\n"
+
+
+def test_non_utf8_file_is_usage_error(tmp_path):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run(["validate", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_non_utf8_stdin_is_usage_error(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8),
+                                                       encoding="utf-8"))
+    code, out, err = run(["validate", "-"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read -: 'utf-8' codec can't decode")
 
 
 def test_invariants_roundtrip_from_construct(monkeypatch):

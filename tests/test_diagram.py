@@ -1,20 +1,22 @@
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
 from threepage.braids import BraidWord, parse_word, torus_braid
-from threepage.diagram import (Orientation, PlanarDiagram, abs_linking_multiset,
+from threepage.diagram import (PlanarDiagram, abs_linking_multiset,
                                braid_closure_diagram, pd_export, project, trace)
 from threepage.invariants import profile
-from threepage.presentation import ThreePagePresentation, arcs_interleave, components
+from threepage.presentation import (ThreePagePresentation, arcs_interleave,
+                                    components, symmetry_orbit)
 from threepage.render import crossing_position
 from threepage.search import SearchConstraints, enumerate_presentations
-from threepage.torus import HOPF, tnn
+from threepage.torus import HOPF, tnn, tpq, tpq_tight
 
 from reidemeister import faces, is_planar
-from util import (disjoint_union, geometric_writhe_and_linking,
-                  orientation_from_point_cycles)
+from util import (assert_well_formed, disjoint_union, geometric_writhe_and_linking,
+                  orientation_from_point_cycles, walk_points)
 
 
 def test_project_unknot_triangle_no_crossings(unknot_triangle):
@@ -42,7 +44,7 @@ def test_project_nested_over_disjoint_has_no_crossings():
 
 def test_project_component_count_matches_model(hopf):
     for pres in (hopf, tnn(3), tnn(4)):
-        assert trace(project(pres)).component_count == len(components(pres).cycles)
+        assert trace(project(pres)).component_count == len(components(pres))
 
 
 def test_braid_closure_empty_word_is_unknot():
@@ -69,7 +71,7 @@ def test_braid_generator_range_checked():
 def test_linking_zero_crossing_unlink():
     p = ThreePagePresentation.of(4, [(1, 2)], [(1, 2), (3, 4)], [(3, 4)])
     d = project(p)
-    assert trace(d).linking_matrix(Orientation.base(2)) == ((0, 0), (0, 0))
+    assert trace(d).linking_matrix((False, False)) == ((0, 0), (0, 0))
 
 
 def test_hopf_fixture_linking_and_writhe_match_spec(hopf):
@@ -87,15 +89,15 @@ def test_hopf_fixture_linking_and_writhe_match_spec(hopf):
 
 def test_flipping_one_component_negates_its_rows(hopf):
     tr = trace(project(hopf))
-    base = tr.linking_matrix(Orientation.base(2))
-    flipped = tr.linking_matrix(Orientation((True, False)))
+    base = tr.linking_matrix((False, False))
+    flipped = tr.linking_matrix((True, False))
     assert flipped[0][1] == -base[0][1]
 
 
 def test_geometric_oracle_agrees_on_constructions():
     # every orientation: each subset of the point cycles walked backwards
     for pres in (HOPF, tnn(2), tnn(3), tnn(4)):
-        cycles = components(pres).point_cycles
+        cycles = [walk_points(walk) for walk in components(pres)]
         k = len(cycles)
         d = project(pres)
         tr = trace(d)
@@ -106,7 +108,7 @@ def test_geometric_oracle_agrees_on_constructions():
             wanted = [tuple(reversed(c)) if mask >> i & 1 else c
                       for i, c in enumerate(cycles)]
             o = orientation_from_point_cycles(pres, d, wanted)
-            seen.add(o.flips)
+            seen.add(o)
             geo_writhe, geo_lk = geometric_writhe_and_linking(pres, wanted)
             assert tr.writhe(o) == geo_writhe
             mat = tr.linking_matrix(o)
@@ -164,7 +166,7 @@ def test_tnn3_pairwise_linking():
 
 def test_writhe_zero_crossing(unknot_triangle):
     d = project(unknot_triangle)
-    assert trace(d).writhe(Orientation.base(1)) == 0
+    assert trace(d).writhe((False,)) == 0
 
 
 def test_writhe_trefoil_either_orientation(trefoil_diagram):
@@ -229,12 +231,36 @@ def test_disjoint_union_components(trefoil_diagram, hopf_braid_diagram):
     assert d.crossing_count() == 5
 
 
-def test_edge_occurrence_validation():
-    with pytest.raises(ValueError):
-        PlanarDiagram(((0, 1, 2, 3),))
+def test_well_formed_oracle_rejects_malformed_diagrams():
+    assert_well_formed(PlanarDiagram(((0, 0, 1, 1),)))
+    with pytest.raises(AssertionError, match="exactly twice"):
+        assert_well_formed(PlanarDiagram(((0, 1, 2, 3),)))
+    with pytest.raises(AssertionError, match="negative free loop"):
+        assert_well_formed(PlanarDiagram((), -1))
+
+
+def test_canonical_projections_are_well_formed():
+    for n in range(3, 8):
+        for pres in enumerate_presentations(SearchConstraints(n)):
+            assert_well_formed(project(pres))
+
+
+def test_orbit_images_of_constructions_project_well_formed():
+    for pres in (*map(tnn, range(2, 6)), tpq(3, 5), tpq_tight(2, 5)):
+        for image in symmetry_orbit(pres):
+            assert_well_formed(project(image))
+
+
+def test_braid_closures_are_well_formed():
+    rng = random.Random(2024)
+    for _ in range(200):
+        strands = rng.randint(2, 5)
+        letters = [(rng.randint(1, strands - 1), rng.choice((1, -1)))
+                   for _ in range(rng.randint(0, 12))]
+        assert_well_formed(braid_closure_diagram(BraidWord.of(strands, letters)))
 
 
 def test_orientation_size_checked(hopf):
     d = project(hopf)
     with pytest.raises(ValueError):
-        trace(d).writhe(Orientation((False,)))
+        trace(d).writhe((False,))

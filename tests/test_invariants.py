@@ -3,7 +3,7 @@ import random
 import pytest
 
 from threepage.braids import BraidWord, torus_braid
-from threepage.diagram import (Orientation, PlanarDiagram, braid_closure_diagram,
+from threepage.diagram import (PlanarDiagram, braid_closure_diagram,
                                project, trace)
 from threepage.invariants import (CrossingLimitError, bracket_skein,
                                   equal_up_to_mirror, jones_set, profile)
@@ -12,7 +12,7 @@ from threepage.presentation import ThreePagePresentation, symmetry_orbit
 from threepage.torus import tnn, tpq, tpq_tight
 
 from util import (bracket_statesum, disjoint_union, jones, trivial_profile,
-                  without_component)
+                  walk_arcs, without_component)
 
 HOPF_BRACKET = LaurentPoly.from_dict({4: -1, -4: -1})
 TREFOIL_JONES = LaurentPoly.from_dict({-4: 1, -12: 1, -16: -1})
@@ -56,9 +56,9 @@ def test_jones_trefoil_standard_up_to_mirror(trefoil_diagram):
 def test_jones_unknot_with_kinks():
     # curl-heavy unknot: closure of s1 on 2 strands plus nothing else
     d = braid_closure_diagram(BraidWord.of(2, [(1, 1)]))
-    assert jones(d, Orientation.base(1)) == ONE
+    assert jones(d, (False,)) == ONE
     d = braid_closure_diagram(BraidWord.of(2, [(1, -1)]))
-    assert jones(d, Orientation.base(1)) == ONE
+    assert jones(d, (False,)) == ONE
 
 
 def test_bracket_of_disjoint_union_multiplies_with_loop(trefoil_diagram,
@@ -183,8 +183,8 @@ def test_split_pair_profile_factorizes():
     pair = detect_split_pair(pres)
     assert pair is not None
     assert project(pres).crossing_count() == 2
-    comp = components(pres)
-    pair_idx = next(i for i, cy in enumerate(comp.cycles) if pair[0] in cy)
+    pair_idx = next(i for i, walk in enumerate(components(pres))
+                    if pair[0] in walk_arcs(walk))
     rest = without_component(pres, pair_idx)
     full = profile(pres)
     partial = jones_set(project(rest))

@@ -10,12 +10,13 @@ from threepage.presentation import (InvalidPresentationError, ParseError,
                                     PlacedArc, ThreePagePresentation,
                                     ValidationReport, components,
                                     detect_split_pair, is_canonical, parse,
-                                    rotate_pages, symmetry_orbit, validate)
+                                    symmetry_orbit, validate)
 from threepage.render import RenderSpec, render
 from threepage.search import SearchConstraints, enumerate_presentations
 from threepage.torus import HOPF
 
-from util import canonicalize, insert_kink, reverse_points, without_component
+from util import (canonicalize, insert_kink, reverse_points, walk_arcs,
+                  walk_points, without_component)
 
 
 def test_hopf_fixture_is_valid(hopf):
@@ -93,16 +94,16 @@ def test_projection_trusts_a_valid_presentation(monkeypatch, hopf):
 
 
 def test_components_unknot_triangle(unknot_triangle):
-    decomp = components(unknot_triangle)
-    assert len(decomp.cycles) == 1
-    assert len(decomp.cycles[0]) == 3
+    walks = components(unknot_triangle)
+    assert walks == [((1, 0, 2), (2, 1, 3), (3, 2, 1))]
 
 
 def test_components_hopf(hopf):
-    decomp = components(hopf)
-    assert len(decomp.cycles) == 2
-    assert sorted(map(set, decomp.point_cycles)) == [{1, 3, 5}, {2, 4, 6}]
-    assert all(len(c) == 3 for c in decomp.cycles)
+    walks = components(hopf)
+    assert [walk_points(w) for w in walks] == [(1, 3, 5), (2, 6, 4)]
+    assert [walk_arcs(w) for w in walks] == [
+        [PlacedArc(0, (1, 3)), PlacedArc(1, (3, 5)), PlacedArc(2, (1, 5))],
+        [PlacedArc(1, (2, 6)), PlacedArc(0, (4, 6)), PlacedArc(2, (2, 4))]]
 
 
 def test_of_rejects_what_components_cannot_decompose():
@@ -156,8 +157,8 @@ def test_canonicalize_idempotent(hopf):
 
 def test_canonicalize_constant_on_orbit(hopf):
     c = canonicalize(hopf)
-    assert canonicalize(rotate_pages(hopf, 1)) == c
-    assert canonicalize(rotate_pages(hopf, 2)) == c
+    assert canonicalize(list(symmetry_orbit(hopf))[1]) == c
+    assert canonicalize(list(symmetry_orbit(hopf))[2]) == c
     assert canonicalize(reverse_points(hopf)) == c
     assert len({q.sort_key() for q in symmetry_orbit(hopf)}) <= 6
 

@@ -107,3 +107,21 @@ def test_bounds_orderings():
                       if u is not None]
             assert all(rep.bridge_bound <= u for u in uppers)
             assert all(rep.arc_index <= u for u in uppers)
+
+
+def test_tight_q_equals_2p_layout_is_frozen():
+    # the q = 2p branch of tpq_tight, captured before it stopped rotating pages
+    assert [str(tpq_tight(p, 2 * p)) for p in range(2, 7)] == [
+        "n=9; P1:2-9,3-8,4-7; P2:1-7,2-6,3-5; P3:1-4,5-9,6-8",
+        "n=15; P1:2-15,3-14,4-13,5-12,6-11; P2:1-11,2-10,3-9,4-8,5-7; "
+        "P3:1-6,7-15,8-14,9-13,10-12",
+        "n=21; P1:2-21,3-20,4-19,5-18,6-17,7-16,8-15; "
+        "P2:1-15,2-14,3-13,4-12,5-11,6-10,7-9; "
+        "P3:1-8,9-21,10-20,11-19,12-18,13-17,14-16",
+        "n=27; P1:2-27,3-26,4-25,5-24,6-23,7-22,8-21,9-20,10-19; "
+        "P2:1-19,2-18,3-17,4-16,5-15,6-14,7-13,8-12,9-11; "
+        "P3:1-10,11-27,12-26,13-25,14-24,15-23,16-22,17-21,18-20",
+        "n=33; P1:2-33,3-32,4-31,5-30,6-29,7-28,8-27,9-26,10-25,11-24,12-23; "
+        "P2:1-23,2-22,3-21,4-20,5-19,6-18,7-17,8-16,9-15,10-14,11-13; "
+        "P3:1-12,13-33,14-32,15-31,16-30,17-29,18-28,19-27,20-26,21-25,22-24",
+    ]

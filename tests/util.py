@@ -9,8 +9,9 @@ validates and canonicalizes every candidate, and braid equality from the
 action on a free group.
 
 The helpers build test inputs and read results from the library's own
-machinery; nothing in the package calls them: the Jones polynomial of one
-orientation, disjoint unions of diagrams, orientations given as point
+machinery; nothing in the package calls them: the well-formedness check of
+a diagram, the points and arcs of a component walk, the Jones polynomial of
+one orientation, disjoint unions of diagrams, orientations given as point
 cycles, kink insertion, component deletion, point reversal, the canonical
 orbit member, the unlink profile and the zero polynomial.
 """
@@ -18,15 +19,16 @@ orbit member, the unlink profile and the zero polynomial.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from typing import Iterable, Iterator
 
-from threepage.diagram import Orientation, PlanarDiagram, trace
+from threepage.diagram import PlanarDiagram, trace
 from threepage.invariants import (DEFAULT_CROSSING_LIMIT, CrossingLimitError,
                                   InvariantProfile, bracket_skein)
 from threepage.laurent import LOOP, LaurentPoly, writhe_unit
-from threepage.presentation import (Arc, PlacedArc, ThreePagePresentation,
+from threepage.presentation import (Arc, PlacedArc, Step, ThreePagePresentation,
                                     arcs_interleave, components, is_canonical,
                                     symmetry_orbit, validate)
 from threepage.search import SearchConstraints, noncrossing_matchings
@@ -69,20 +71,19 @@ def geometric_writhe_and_linking(p: ThreePagePresentation,
     Orientations are given as directed binding-point cycles; arc directions
     follow from consecutive points in each cycle.
     """
-    decomp = components(p)
+    walks = components(p)
     directions: dict[tuple[int, int], int] = {}
     comp_of_arc: dict = {}
     for want in point_cycles:
-        base_idx = next(i for i, base in enumerate(decomp.point_cycles)
-                        if set(base) == set(want))
-        cycle = decomp.cycles[base_idx]
-        base_points = decomp.point_cycles[base_idx]
-        for pa, entry in zip(cycle, base_points):
-            comp_of_arc[(pa.page, pa.arc)] = base_idx
+        base_idx = next(i for i, walk in enumerate(walks)
+                        if set(walk_points(walk)) == set(want))
+        cycle = walk_arcs(walks[base_idx])
+        for pa in cycle:
+            comp_of_arc[pa] = base_idx
         for k, pt in enumerate(want):
             nxt = want[(k + 1) % len(want)]
             arc = (pt, nxt) if pt < nxt else (nxt, pt)
-            placed = next(pa for pa in cycle if pa.arc == arc)
+            assert any(pa.arc == arc for pa in cycle), (want, arc)
             directions[arc] = 1 if pt == arc[0] else -1
     signed = geometric_signed_crossings(p, directions, comp_of_arc)
     writhe = sum(s for s, _, _ in signed)
@@ -279,34 +280,55 @@ def bracket_statesum(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> L
 # -- diagram and presentation helpers -----------------------------------------------
 
 
-def jones(d: PlanarDiagram, o: Orientation, limit: int = DEFAULT_CROSSING_LIMIT) -> LaurentPoly:
+def assert_well_formed(d: PlanarDiagram) -> PlanarDiagram:
+    """d, after asserting that every edge label sits at exactly two slots
+    and that the free-loop count is not negative."""
+    bad = {e: k for e, k in Counter(e for t in d.crossings for e in t).items() if k != 2}
+    assert not bad, f"edges must occur exactly twice at crossings: {bad}"
+    assert d.free_loops >= 0, f"negative free loop count {d.free_loops}"
+    return d
+
+
+def walk_points(walk: tuple[Step, ...]) -> tuple[int, ...]:
+    """The binding points of a component walk, in walk order."""
+    return tuple(x for x, _, _ in walk)
+
+
+def walk_arcs(walk: tuple[Step, ...]) -> list[PlacedArc]:
+    """The placed arcs of a component walk, in walk order."""
+    return [PlacedArc(page, (min(x, y), max(x, y))) for x, page, y in walk]
+
+
+def jones(d: PlanarDiagram, flips: tuple[bool, ...],
+          limit: int = DEFAULT_CROSSING_LIMIT) -> LaurentPoly:
     """Writhe-normalised bracket f = (-A^3)^(-w) <D>, in the A variable.
 
     Invariant under all Reidemeister moves, hence an invariant of the
     oriented link presented by the diagram.
     """
-    return writhe_unit(-trace(d).writhe(o)) * bracket_skein(d, limit)
+    return writhe_unit(-trace(d).writhe(flips)) * bracket_skein(d, limit)
 
 
 def disjoint_union(d1: PlanarDiagram, d2: PlanarDiagram) -> PlanarDiagram:
     shift = (max((e for t in d1.crossings for e in t), default=-1)) + 1
     moved = tuple(tuple(e + shift for e in t) for t in d2.crossings)
-    return PlanarDiagram(d1.crossings + moved, d1.free_loops + d2.free_loops)  # type: ignore[arg-type]
+    return assert_well_formed(PlanarDiagram(d1.crossings + moved,  # type: ignore[arg-type]
+                                            d1.free_loops + d2.free_loops))
 
 
 def orientation_from_point_cycles(p: ThreePagePresentation, d: PlanarDiagram,
-                                  wanted: Iterable[tuple[int, ...]]) -> Orientation:
+                                  wanted: Iterable[tuple[int, ...]]) -> tuple[bool, ...]:
     """Translate per-component directions, given as binding-point cycles like
     (1, 3, 5) for 1 -> 3 -> 5 -> 1, into orientation flips for project(p)."""
     if d.walk_heads is None:
         raise ValueError("diagram lacks projection walk data")
-    comp = components(p)
+    point_cycles = [walk_points(walk) for walk in components(p)]
     tr = trace(d)
     flips = [False] * tr.component_count
     wanted_list = list(wanted)
-    if len(wanted_list) != len(comp.point_cycles):
-        raise ValueError(f"expected {len(comp.point_cycles)} point cycles")
-    for base, want, head in zip(comp.point_cycles, wanted_list, d.walk_heads):
+    if len(wanted_list) != len(point_cycles):
+        raise ValueError(f"expected {len(point_cycles)} point cycles")
+    for base, want, head in zip(point_cycles, wanted_list, d.walk_heads):
         if set(base) != set(want) or len(base) != len(want):
             raise ValueError(f"cycle {want} does not match component {base}")
         k = want.index(base[0])
@@ -322,7 +344,7 @@ def orientation_from_point_cycles(p: ThreePagePresentation, d: PlanarDiagram,
         first_edge, walk_head = head
         agrees = tr.edge_direction[first_edge][1] == walk_head
         flips[tr.edge_component[first_edge]] = reversed_walk == agrees
-    return Orientation(tuple(flips))
+    return tuple(flips)
 
 
 def insert_kink(p: ThreePagePresentation, placed: PlacedArc) -> ThreePagePresentation:
@@ -354,8 +376,7 @@ def insert_kink(p: ThreePagePresentation, placed: PlacedArc) -> ThreePagePresent
 
 def without_component(p: ThreePagePresentation, index: int) -> ThreePagePresentation:
     """Delete one component and renumber the remaining points."""
-    comp = components(p)
-    dropped = set(comp.cycles[index])
+    dropped = set(walk_arcs(components(p)[index]))
     kept_points = sorted({pt for pa in set(p.placed_arcs()) - dropped for pt in pa.arc})
     renum = {pt: k + 1 for k, pt in enumerate(kept_points)}
     pages: list[list[Arc]] = [[], [], []]
