@@ -14,10 +14,10 @@ from .presentation import (InvalidPresentationError, ParseError, PlacedArc,
                            detect_split_pair, is_canonical, parse,
                            symmetry_orbit, validate)
 from .render import RenderSpec, render, render_ascii, render_svg
-from .search import (CensusEntry, IndexSearchResult, InvalidSearchLimit,
-                     RefutationReport, SearchConstraints, SearchLimitExceeded,
-                     census, census_text, enumerate_presentations,
-                     refute_t33_at_9, three_page_index)
+from .search import (CensusEntry, IndexSearchResult, RefutationReport,
+                     SearchConstraints, census, census_text,
+                     enumerate_presentations, refute_t33_at_9,
+                     three_page_index)
 from .torus import (HOPF, UNKNOT_TRIANGLE, BoundsReport, TorusParams, bounds,
                     closure_profile, tnn, tpq, tpq_tight)
 

@@ -11,6 +11,7 @@ precondition, failed verification), 2 usage or syntax error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional, TextIO
@@ -26,18 +27,36 @@ from .presentation import (InvalidPresentationError, ParseError,
                            ThreePagePresentation, components,
                            detect_split_pair, parse)
 from .render import RenderSpec, render
-from .search import (InvalidSearchLimit, census, census_text, check_n,
-                     refute_t33_at_9, three_page_index)
+from .search import census, census_text, refute_t33_at_9, three_page_index
 from .torus import TorusParams, bounds, closure_profile, tnn, tpq, tpq_tight
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
+MAX_N_VAR = "THREEPAGE_MAX_N"
+DEFAULT_MAX_N = 10
 
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+def _check_search_size(n: int) -> None:
+    """Reject a search on n points beyond the limit that MAX_N_VAR sets
+    (DEFAULT_MAX_N when it is unset or empty); a limit that is not a
+    positive integer is a usage error."""
+    env = os.environ.get(MAX_N_VAR) or str(DEFAULT_MAX_N)
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise CliError(f"{MAX_N_VAR} must be a positive integer, got {env!r}",
+                       USAGE_ERROR)
+    if n > limit:
+        raise CliError(f"n={n} exceeds the search limit {limit} "
+                       f"(set {MAX_N_VAR} to raise it)", DOMAIN_ERROR)
 
 
 def _read_text(path: str) -> str:
@@ -186,32 +205,45 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise CliError("search needs --target-braid or --target-file", USAGE_ERROR)
     if args.target_braid is not None and args.strands is None:
         raise CliError("--target-braid requires --strands", USAGE_ERROR)
-    check_n(args.n_max, args.max_n)
+    _check_search_size(args.n_max)
     if args.target_braid is not None:
         word = parse_word(args.target_braid, args.strands)
+        unused = set(range(1, word.strands)) - {i for i, _ in word.letters}
+        if args.prune_split_pairs and unused:
+            raise CliError(f"--prune-split-pairs needs a non-split target, but the "
+                           f"braid never uses s{min(unused)}, so its closure is "
+                           f"split", DOMAIN_ERROR)
         target = profile(braid_closure_diagram(word))
     else:
-        target = profile(_read_one(args.target_file))
+        pres = _read_one(args.target_file)
+        if args.prune_split_pairs and (pair := detect_split_pair(pres)):
+            (page_a, (i, j)), (page_b, _) = pair
+            raise CliError(f"--prune-split-pairs needs a non-split target, but the "
+                           f"target has the arc {i}-{j} on both P{page_a + 1} and "
+                           f"P{page_b + 1}, so it is split", DOMAIN_ERROR)
+        target = profile(pres)
     result = three_page_index(target, args.n_max,
-                              prune_split_pairs=args.prune_split_pairs,
-                              max_n=args.max_n)
+                              prune_split_pairs=args.prune_split_pairs)
     print(result)
     return 0
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    check_n(args.n, args.max_n)
+    _check_search_size(args.n)
+    if args.n < 1:
+        raise CliError("n must be positive", DOMAIN_ERROR)
     if args.out:
         with _output(args.out) as fh:
-            entries = census(args.n, max_n=args.max_n)
+            entries = census(args.n)
             fh.write(census_text(entries))
         print(f"{len(entries)} entries -> {args.out}")
     else:
-        sys.stdout.write(census_text(census(args.n, max_n=args.max_n)))
+        sys.stdout.write(census_text(census(args.n)))
     return 0
 
 
 def cmd_refute(args: argparse.Namespace) -> int:
+    _check_search_size(9)
     report = refute_t33_at_9()
     print(f"examined {report.examined} presentations on 9 points "
           f"(3 components x 3 arcs, all pages of 3 arcs)")
@@ -302,13 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strands", type=int)
     p.add_argument("--target-file", help="presentation whose link is the target")
     p.add_argument("--prune-split-pairs", action="store_true")
-    p.add_argument("--max-n", type=int, help="override the search limit")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("census", help="full canonical census for one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", help="write to file instead of stdout")
-    p.add_argument("--max-n", type=int)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("refute-t33", help="exhaustive 9-point check against T(3,3)")
@@ -339,9 +369,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except InvalidSearchLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except (CrossingLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR

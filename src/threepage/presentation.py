@@ -49,8 +49,9 @@ def _normalize_arc(i: int, j: int) -> Arc:
 
 
 def _page(arcs: Iterable[tuple[int, int]]) -> tuple[Arc, ...]:
-    """One page as a sorted, duplicate-free tuple of normalised arcs."""
-    return tuple(sorted({_normalize_arc(i, j) for i, j in arcs}))
+    """One page as a sorted tuple of normalised arcs; a repeated arc is kept,
+    so that validation reports the points it shares."""
+    return tuple(sorted(_normalize_arc(i, j) for i, j in arcs))
 
 
 def arcs_interleave(a: Arc, b: Arc) -> bool:

@@ -12,53 +12,20 @@ full orbit comparison runs on int tuples.  Streams are deterministic and
 contain exactly one representative per orbit; pruning only skips
 candidates, so the emission order is that of the plain generate-and-filter
 pass.
+
+The engine runs a search of any size it is given, and the count of
+canonical presentations grows roughly eightfold per point.  Capping the
+size is a policy of the command line (``threepage.cli``), which checks its
+search limit before it starts a search.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .invariants import InvariantProfile, equal_up_to_mirror, profile
 from .presentation import Arc, ThreePagePresentation, flip_page, orbit_images
-
-DEFAULT_MAX_N = 10
-ENV_MAX_N = "THREEPAGE_MAX_N"
-
-
-class SearchLimitExceeded(ValueError):
-    """Point count beyond the configured search limit."""
-
-
-class InvalidSearchLimit(ValueError):
-    """A search limit that is not a positive integer."""
-
-
-def search_limit(override: Optional[int] = None) -> int:
-    if override is not None:
-        if override < 1:
-            raise InvalidSearchLimit(f"max_n must be a positive integer, got {override}")
-        return override
-    env = os.environ.get(ENV_MAX_N)
-    if not env:
-        return DEFAULT_MAX_N
-    try:
-        limit = int(env)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise InvalidSearchLimit(f"{ENV_MAX_N} must be a positive integer, got {env!r}")
-    return limit
-
-
-def check_n(n: int, max_n: Optional[int]) -> None:
-    """Reject a point count n beyond the search limit."""
-    limit = search_limit(max_n)
-    if n > limit:
-        raise SearchLimitExceeded(
-            f"n={n} exceeds the search limit {limit} "
-            f"(set {ENV_MAX_N} or pass max_n to raise it)")
 
 
 @dataclass(frozen=True)
@@ -123,9 +90,7 @@ def _component_count(pages: Sequence[tuple[Arc, ...]]) -> int:
     return count
 
 
-def enumerate_presentations(c: SearchConstraints,
-                            max_n: Optional[int] = None,
-                            ) -> Iterator[ThreePagePresentation]:
+def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
     """Canonical valid presentations on c.n points satisfying c, exactly one
     per symmetry orbit, in deterministic order.
 
@@ -134,7 +99,6 @@ def enumerate_presentations(c: SearchConstraints,
     perfect matching of the points that still meet one arc.  The page-size
     bounds leave page 3 with at least ``min_arcs_per_page`` arcs.
     """
-    check_n(c.n, max_n)
     n = c.n
     points = tuple(range(1, n + 1))
     min_page = c.min_arcs_per_page or 1
@@ -188,14 +152,14 @@ class CensusEntry:
                 f"jones={{{'; '.join(prof.jones_strings())}}}")
 
 
-def census(n: int, max_n: Optional[int] = None) -> list[CensusEntry]:
+def census(n: int) -> list[CensusEntry]:
     """Full table of canonical presentations on n points, grouped by profile.
 
     Regeneration is deterministic down to the byte: entries are sorted by
     profile and serialisation, and all polynomial printing is canonical.
     """
     entries = [CensusEntry(pres, profile(pres))
-               for pres in enumerate_presentations(SearchConstraints(n), max_n)]
+               for pres in enumerate_presentations(SearchConstraints(n))]
     entries.sort(key=lambda e: (e.profile.sort_key(), e.presentation.sort_key()))
     return entries
 
@@ -218,23 +182,23 @@ class IndexSearchResult:
 
 
 def three_page_index(target: InvariantProfile, n_max: int,
-                     prune_split_pairs: bool = False,
-                     max_n: Optional[int] = None) -> IndexSearchResult:
+                     prune_split_pairs: bool = False) -> IndexSearchResult:
     """Smallest n <= n_max carrying a presentation whose profile matches the
     target up to mirror, by exhaustive canonical search.
 
     A not-found result is unconditional: the profile is an invariant of the
     link up to mirror, so any presentation of the target link would have
-    matched, and the index exceeds n_max (``prune_split_pairs`` needs a
-    non-split target for this).  A found witness only matches the profile,
-    so it is no stronger than the profile oracle.
+    matched, and the index exceeds n_max.  ``prune_split_pairs`` needs a
+    non-split target for this, and nothing here checks that: on a split
+    target it may skip every match and report a larger index.  A found
+    witness only matches the profile, so it is no stronger than the profile
+    oracle.
     """
-    check_n(n_max, max_n)
     for n in range(3, n_max + 1):
         constraints = SearchConstraints(
             n, required_components=target.component_count,
             prune_split_pairs=prune_split_pairs)
-        for pres in enumerate_presentations(constraints, max_n):
+        for pres in enumerate_presentations(constraints):
             cand = profile(pres)
             if equal_up_to_mirror(cand, target):
                 return IndexSearchResult(True, n, pres, n_max)
@@ -254,7 +218,7 @@ class RefutationReport:
         return not self.witnesses
 
 
-def refute_t33_at_9(max_n: Optional[int] = None) -> RefutationReport:
+def refute_t33_at_9() -> RefutationReport:
     """Show no 9-point presentation realises the (3,3)-torus link.
 
     The link has three components and is non-split, so two arcs sharing both
@@ -264,8 +228,11 @@ def refute_t33_at_9(max_n: Optional[int] = None) -> RefutationReport:
     exactly three at n = 9.  A three-arc component occupies each page once
     (its page sequence must be adjacent-distinct around a 3-cycle), so all
     pages hold exactly three arcs; with bridge number 3 that matches the
-    three-arcs-per-page lower bound.  The search space is enumerated under those forced constraints
-    and every candidate is profiled against the closed torus braid.
+    three-arcs-per-page lower bound.  The search space is enumerated under
+    those forced constraints and every candidate is profiled against the
+    closed torus braid.  The size is fixed at nine points and no search
+    limit is read here; the command line checks its limit before it calls
+    this.
     """
     from .torus import closure_profile
 
@@ -277,7 +244,7 @@ def refute_t33_at_9(max_n: Optional[int] = None) -> RefutationReport:
     examined = 0
     linking_candidates = 0
     witnesses: list[ThreePagePresentation] = []
-    for pres in enumerate_presentations(constraints, max_n):
+    for pres in enumerate_presentations(constraints):
         examined += 1
         if abs_linking_multiset(project(pres)) != target.abs_linking:
             continue

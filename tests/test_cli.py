@@ -79,6 +79,17 @@ def test_validate_checks_each_line_once(monkeypatch):
     assert len(calls) == len(lines)
 
 
+def test_validate_reports_a_repeated_arc(monkeypatch):
+    code, out, _ = run(["validate", "-"],
+                       stdin_text="n=3; P1:1-2,2-1; P2:2-3; P3:1-3\n",
+                       monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ("line 1: INVALID\n"
+                   "  - arcs (1, 2) and (1, 2) share point 1 on page P1\n"
+                   "  - point 1 meets 3 arcs (expected 2)\n"
+                   "  - point 2 meets 3 arcs (expected 2)\n")
+
+
 def test_validate_invalid_is_domain_error(monkeypatch):
     code, out, _ = run(["validate", "-"],
                        stdin_text="n=4; P1:1-3,2-4; P2:1-2; P3:3-4\n",
@@ -266,14 +277,26 @@ def test_negative_env_limit_is_usage_error(monkeypatch):
     assert "THREEPAGE_MAX_N must be a positive integer, got '-3'" in err
 
 
-def test_non_positive_max_n_flag_is_usage_error(monkeypatch):
-    code, _, err = run(["census", "--n", "3", "--max-n", "-3"])
-    assert code == 2
-    assert "max_n must be a positive integer, got -3" in err
-    code, _, err = run(["search", "--n-max", "4", "--max-n", "0",
-                        "--target-braid", "s1", "--strands", "2"])
-    assert code == 2
-    assert "max_n must be a positive integer, got 0" in err
+def test_zero_env_limit_is_usage_error(monkeypatch):
+    monkeypatch.setenv("THREEPAGE_MAX_N", "0")
+    for argv in (["search", "--n-max", "4", "--target-braid", "s1", "--strands", "2"],
+                 ["census", "--n", "3"], ["refute-t33"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: THREEPAGE_MAX_N must be a positive integer, got '0'\n"
+
+
+def test_env_limit_raises_the_search_size(monkeypatch):
+    argv = ["search", "--n-max", "11", "--target-braid", "s1", "--strands", "2"]
+    monkeypatch.delenv("THREEPAGE_MAX_N", raising=False)
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: n=11 exceeds the search limit 10 "
+                   "(set THREEPAGE_MAX_N to raise it)\n")
+    monkeypatch.setenv("THREEPAGE_MAX_N", "11")
+    code, out, _ = run(argv)
+    assert code == 0
+    assert out.startswith("index=3 witness: ")
 
 
 def test_search_checks_limit_before_building_the_target(monkeypatch):
@@ -283,7 +306,8 @@ def test_search_checks_limit_before_building_the_target(monkeypatch):
         raise AssertionError("target profiled before the limit was checked")
 
     monkeypatch.setattr(cli, "profile", no_profile)
-    code, out, err = run(["search", "--n-max", "6", "--max-n", "5",
+    monkeypatch.setenv("THREEPAGE_MAX_N", "5")
+    code, out, err = run(["search", "--n-max", "6",
                           "--target-braid", "s1 s1", "--strands", "2"])
     assert code == 1 and out == ""
     assert "n=6 exceeds the search limit 5" in err
@@ -293,10 +317,25 @@ def test_search_checks_limit_before_building_the_target(monkeypatch):
     assert "search needs --target-braid or --target-file" in err
 
 
-def test_non_integer_max_n_flag_is_usage_error(monkeypatch):
-    code, _, err = run(["census", "--n", "3", "--max-n", "abc"])
-    assert code == 2
-    assert "argument --max-n: invalid int value: 'abc'" in err
+def test_split_pair_pruning_rejects_a_visibly_split_target(tmp_path):
+    # both targets are split unlinks of index 4; the pruned search used to
+    # skip their presentations and print index=6
+    code, out, err = run(["search", "--n-max", "6", "--target-braid", "s1",
+                          "--strands", "3", "--prune-split-pairs"])
+    assert (code, out) == (1, "")
+    assert err == ("error: --prune-split-pairs needs a non-split target, but the "
+                   "braid never uses s2, so its closure is split\n")
+    target = tmp_path / "split.txt"
+    target.write_text("n=4; P1:1-2; P2:1-2,3-4; P3:3-4\n")
+    code, out, err = run(["search", "--n-max", "6", "--target-file", str(target),
+                          "--prune-split-pairs"])
+    assert (code, out) == (1, "")
+    assert err == ("error: --prune-split-pairs needs a non-split target, but the "
+                   "target has the arc 1-2 on both P1 and P2, so it is split\n")
+    for argv in (["--target-braid", "s1", "--strands", "3"],
+                 ["--target-file", str(target)]):
+        code, out, _ = run(["search", "--n-max", "6"] + argv)
+        assert code == 0 and out.startswith("index=4 "), argv
 
 
 def test_refute_non_integer_env_limit_is_usage_error(monkeypatch):
@@ -355,6 +394,14 @@ def test_unwritable_out_is_usage_error(monkeypatch, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {missing}: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_census_non_positive_n_keeps_an_existing_out_file(tmp_path):
+    out_file = tmp_path / "census.txt"
+    out_file.write_bytes(b"kept\n")
+    code, out, err = run(["census", "--n", "0", "--out", str(out_file)])
+    assert (code, out, err) == (1, "", "error: n must be positive\n")
+    assert out_file.read_bytes() == b"kept\n"
 
 
 def test_census_checks_out_and_limit_before_computing(monkeypatch, tmp_path):

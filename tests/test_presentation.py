@@ -38,6 +38,10 @@ EMPTY_PAGE = ((3, [(1, 2)], [(2, 3)], []),
                "point 3 meets 1 arcs (expected 2)"))
 SHARED_ENDPOINT = ((5, [(1, 2), (2, 3)], [(4, 5)], [(1, 3), (4, 5)]),
                    ("arcs (1, 2) and (2, 3) share point 2 on page P1",))
+REPEATED_ARC = ((3, [(1, 2), (2, 1)], [(2, 3)], [(1, 3)]),
+                ("arcs (1, 2) and (1, 2) share point 1 on page P1",
+                 "point 1 meets 3 arcs (expected 2)",
+                 "point 2 meets 3 arcs (expected 2)"))
 
 
 def test_noncrossing_violation_detected():
@@ -60,8 +64,11 @@ def test_shared_endpoint_on_one_page():
     (INTERLEAVED, "arcs (1, 3) and (2, 4) interleave on page P1"),
     (EMPTY_PAGE, "page P3 holds no arcs; point 1 meets 1 arcs (expected 2); "
                  "point 3 meets 1 arcs (expected 2)"),
-    (SHARED_ENDPOINT, "arcs (1, 2) and (2, 3) share point 2 on page P1")],
-    ids=["interleave", "empty-page", "shared-endpoint"])
+    (SHARED_ENDPOINT, "arcs (1, 2) and (2, 3) share point 2 on page P1"),
+    (REPEATED_ARC, "arcs (1, 2) and (1, 2) share point 1 on page P1; "
+                   "point 1 meets 3 arcs (expected 2); "
+                   "point 2 meets 3 arcs (expected 2)")],
+    ids=["interleave", "empty-page", "shared-endpoint", "repeated-arc"])
 def test_of_and_parse_reject_invalid_presentations(example, message):
     args, violations = example
     bad = _trusted(*args)

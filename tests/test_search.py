@@ -5,10 +5,9 @@ import pytest
 from threepage.invariants import profile, equal_up_to_mirror
 from threepage.presentation import (components, detect_split_pair,
                                     is_canonical, validate)
-from threepage.search import (InvalidSearchLimit, SearchConstraints,
-                              SearchLimitExceeded, census,
+from threepage.search import (SearchConstraints, census,
                               enumerate_presentations, noncrossing_matchings,
-                              refute_t33_at_9, search_limit, three_page_index)
+                              three_page_index)
 from threepage.torus import UNKNOT_TRIANGLE, closure_profile
 
 from util import (canonicalize, insert_kink, naive_noncrossing_matchings,
@@ -149,30 +148,12 @@ def test_census_profiles_monotone_under_kink_insertion():
         assert profile(bigger) == entry.profile
 
 
-def test_search_limit_and_env_override(monkeypatch):
-    with pytest.raises(SearchLimitExceeded):
-        list(enumerate_presentations(SearchConstraints(11)))
-    monkeypatch.setenv("THREEPAGE_MAX_N", "12")
-    assert search_limit() == 12
-    monkeypatch.delenv("THREEPAGE_MAX_N")
-    assert search_limit() == 10
-    assert search_limit(15) == 15
-
-
-def test_bad_search_limits_are_rejected(monkeypatch):
-    for value in ("abc", "-3", "0"):
-        monkeypatch.setenv("THREEPAGE_MAX_N", value)
-        with pytest.raises(InvalidSearchLimit, match="THREEPAGE_MAX_N"):
-            search_limit()
-    monkeypatch.delenv("THREEPAGE_MAX_N")
-    with pytest.raises(InvalidSearchLimit, match="max_n"):
-        search_limit(-3)
-
-
-def test_refute_rejects_zero_max_n():
-    # 0 is a bad limit like any other, not a request for the default of 9
-    with pytest.raises(InvalidSearchLimit, match="got 0"):
-        refute_t33_at_9(max_n=0)
+def test_engine_reads_no_search_limit(monkeypatch):
+    # the limit is a command-line policy; the library runs any size it is
+    # given, whatever the environment holds
+    monkeypatch.setenv("THREEPAGE_MAX_N", "abc")
+    res = three_page_index(trivial_profile(1), 11)
+    assert res.found and res.n == 3
 
 
 def test_split_pruning_leaves_no_two_arc_component():
