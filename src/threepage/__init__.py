@@ -15,7 +15,7 @@ from .presentation import (InvalidPresentationError, ParseError, PlacedArc,
                            symmetry_orbit, validate)
 from .render import RenderSpec, render, render_ascii, render_svg
 from .search import (CensusEntry, IndexSearchResult, RefutationReport,
-                     SearchConstraints, census, census_text,
+                     SearchConstraints, census, census_text, crossing_floor,
                      enumerate_presentations, refute_t33_at_9,
                      three_page_index)
 from .torus import (HOPF, UNKNOT_TRIANGLE, BoundsReport, TorusParams, bounds,

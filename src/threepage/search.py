@@ -36,13 +36,21 @@ class SearchConstraints:
     identical endpoints on different pages; sound when the search target is
     a non-split link, since such a pair certifies splittability.
     ``min_arcs_per_page`` encodes the bridge-number bound (every page of a
-    presentation of L carries at least br(L) arcs).
+    presentation of L carries at least br(L) arcs).  ``min_crossings``
+    discards presentations whose projection has fewer crossings, counted as
+    P1/P3 interleavings before any diagram is built.  ``three_page_index``
+    sets it to ``crossing_floor`` of its target, max(span_t V - (k - 1),
+    2 * sum |lk|, 0) for k components; no diagram of the target has fewer
+    crossings (its bracket span is at most 4c + 4(p - 1) with p <= k split
+    pieces, and each pair of components crosses 2 |lk| times or more), so
+    the skipped candidates could not have matched.
     """
 
     n: int
     required_components: Optional[int] = None
     prune_split_pairs: bool = False
     min_arcs_per_page: Optional[int] = None
+    min_crossings: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -90,6 +98,21 @@ def _component_count(pages: Sequence[tuple[Arc, ...]]) -> int:
     return count
 
 
+def interleaving_table(n: int, page: Sequence[Arc]) -> list[list[int]]:
+    """``table[a][b]``, for 1 <= a < b <= n, is the number of arcs of page
+    that the chord (a, b) interleaves.  Summed over page 3 with page 1 as
+    ``page``, it is the crossing count of the projection (``project``)."""
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, j in page:
+        for a in range(1, i):  # a < i < b < j
+            for b in range(i + 1, j):
+                table[a][b] += 1
+        for a in range(i + 1, j):  # i < a < j < b
+            for b in range(j + 1, n + 1):
+                table[a][b] += 1
+    return table
+
+
 def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
     """Canonical valid presentations on c.n points satisfying c, exactly one
     per symmetry orbit, in deterministic order.
@@ -97,12 +120,21 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     Every candidate is valid by construction: each page is a non-crossing
     matching, page 2 covers every point page 1 leaves free, and page 3 is a
     perfect matching of the points that still meet one arc.  The page-size
-    bounds leave page 3 with at least ``min_arcs_per_page`` arcs.
+    bounds leave page 3 with at least ``min_arcs_per_page`` arcs.  A
+    candidate under ``min_crossings`` is dropped before the orbit test.
     """
     n = c.n
     points = tuple(range(1, n + 1))
     min_page = c.min_arcs_per_page or 1
-    # page 3 is fixed by its point set, so each set is matched only once
+    floor = c.min_crossings
+    # page 2 depends only on the points page 1 leaves free (which also fix
+    # len(m1) and so the page-size window), and page 3 only on its point
+    # set, so each set is matched only once.  A page 1 on the other points
+    # a < c < ... starts with an arc (a, b), b >= c, so it is at least
+    # ((a, c),), and a page 2 that or whose reversal lies below that fails
+    # the tests against page 1.  The kept pages share one tuple per arc.
+    arcs = {(i, j): (i, j) for i in points for j in points if i < j}
+    page2_options: dict[frozenset[int], list[tuple[Arc, ...]]] = {}
     page3_options: dict[tuple[int, ...], list] = {}
     for m1 in noncrossing_matchings(points):
         if not min_page <= len(m1) <= n - 2 * min_page:
@@ -111,9 +143,17 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
         if f1 < m1:
             continue
         used1 = {pt for a in m1 for pt in a}
-        for m2 in noncrossing_matchings(points, frozenset(points) - frozenset(used1)):
-            if not min_page <= len(m2) <= n - len(m1) - min_page:
-                continue
+        free = frozenset(points) - frozenset(used1)
+        options2 = page2_options.get(free)
+        if options2 is None:
+            least = (tuple(sorted(used1)[:2]),)
+            options2 = page2_options[free] = [
+                tuple(arcs[arc] for arc in m2)
+                for m2 in noncrossing_matchings(points, free)
+                if min_page <= len(m2) <= n - len(m1) - min_page
+                and m2 >= least and flip_page(n, m2) >= least]
+        crossings = interleaving_table(n, m1) if floor else None
+        for m2 in options2:
             if m2 < m1:
                 continue
             f2 = flip_page(n, m2)
@@ -130,6 +170,8 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
                     for m3 in noncrossing_matchings(deficit, frozenset(deficit))]
             for m3, f3 in options3:
                 if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
+                    continue
+                if floor and sum(crossings[a][b] for a, b in m3) < floor:
                     continue
                 pages = (m1, m2, m3)
                 if min(orbit_images(pages, (f1, f2, f3))) != pages:
@@ -174,6 +216,8 @@ class IndexSearchResult:
     n: Optional[int]
     witness: Optional[ThreePagePresentation]
     searched_max: int
+    #: candidates profiled, over every n searched
+    profiled: int
 
     def __str__(self) -> str:
         if self.found:
@@ -181,28 +225,52 @@ class IndexSearchResult:
         return f"not found for n <= {self.searched_max}"
 
 
+def crossing_floor(target: InvariantProfile) -> int:
+    """A lower bound on the crossing count of every diagram of a link with
+    this profile: max(span_t V - (k - 1), 2 * sum |lk|, 0) for k components.
+
+    A diagram with c crossings in p split pieces (free loops included) has
+    bracket span at most 4c + 4(p - 1) in A (Kauffman-Murasugi-Thistlethwaite
+    for each connected piece, one loop factor per extra piece), and p <= k.
+    With t = A^-4 that gives span_t V <= c + k - 1.  Components i and j
+    cross each other at least 2 |lk(i, j)| times.  Both terms depend only on
+    the profile up to mirror, so every candidate that matches the target has
+    at least this many crossings.
+    """
+    span = max(p.terms[0][0] - p.terms[-1][0] for p in target.jones)
+    k = target.component_count
+    return max(-(-span // 4) - (k - 1), 2 * sum(target.abs_linking), 0)
+
+
 def three_page_index(target: InvariantProfile, n_max: int,
                      prune_split_pairs: bool = False) -> IndexSearchResult:
     """Smallest n <= n_max carrying a presentation whose profile matches the
     target up to mirror, by exhaustive canonical search.
 
-    A not-found result is unconditional: the profile is an invariant of the
-    link up to mirror, so any presentation of the target link would have
-    matched, and the index exceeds n_max.  ``prune_split_pairs`` needs a
-    non-split target for this, and nothing here checks that: on a split
-    target it may skip every match and report a larger index.  A found
-    witness only matches the profile, so it is no stronger than the profile
-    oracle.
+    Only candidates with the target's component count and at least
+    ``crossing_floor(target)`` crossings are profiled; no presentation of
+    the target link or its mirror falls below that floor, which is
+    max(span_t V - (k - 1), 2 * sum |lk|, 0) for k components: a diagram
+    with p <= k split pieces has bracket span at most 4c + 4(p - 1), and
+    each pair of components crosses at least 2 |lk| times.  So a not-found
+    result is unconditional: the profile is an invariant of the link
+    up to mirror, any presentation of the target link would have matched,
+    and the index exceeds n_max.  ``prune_split_pairs`` needs a non-split
+    target for this, and nothing here checks that: on a split target it may
+    skip every match and report a larger index.  A found witness only
+    matches the profile, so it is no stronger than the profile oracle.
     """
+    floor = crossing_floor(target)
+    profiled = 0
     for n in range(3, n_max + 1):
         constraints = SearchConstraints(
             n, required_components=target.component_count,
-            prune_split_pairs=prune_split_pairs)
+            prune_split_pairs=prune_split_pairs, min_crossings=floor)
         for pres in enumerate_presentations(constraints):
-            cand = profile(pres)
-            if equal_up_to_mirror(cand, target):
-                return IndexSearchResult(True, n, pres, n_max)
-    return IndexSearchResult(False, None, None, n_max)
+            profiled += 1
+            if equal_up_to_mirror(profile(pres), target):
+                return IndexSearchResult(True, n, pres, n_max, profiled)
+    return IndexSearchResult(False, None, None, n_max, profiled)
 
 
 @dataclass(frozen=True)
@@ -230,9 +298,11 @@ def refute_t33_at_9() -> RefutationReport:
     pages hold exactly three arcs; with bridge number 3 that matches the
     three-arcs-per-page lower bound.  The search space is enumerated under
     those forced constraints and every candidate is profiled against the
-    closed torus braid.  The size is fixed at nine points and no search
-    limit is read here; the command line checks its limit before it calls
-    this.
+    closed torus braid, |lk| multiset first.  No crossing floor is applied
+    (``three_page_index`` would set 6), on purpose: the count of examined
+    candidates stays that of the whole forced space, 500.  The size is fixed
+    at nine points and no search limit is read here; the command line checks
+    its limit before it calls this.
     """
     from .torus import closure_profile
 

@@ -2,16 +2,18 @@ import itertools
 
 import pytest
 
+from threepage.braids import parse_word
+from threepage.diagram import braid_closure_diagram, project
 from threepage.invariants import profile, equal_up_to_mirror
 from threepage.presentation import (components, detect_split_pair,
                                     is_canonical, validate)
-from threepage.search import (SearchConstraints, census,
-                              enumerate_presentations, noncrossing_matchings,
-                              three_page_index)
-from threepage.torus import UNKNOT_TRIANGLE, closure_profile
+from threepage.search import (SearchConstraints, census, crossing_floor,
+                              enumerate_presentations, interleaving_table,
+                              noncrossing_matchings, three_page_index)
+from threepage.torus import HOPF, UNKNOT_TRIANGLE, closure_profile
 
 from util import (canonicalize, insert_kink, naive_noncrossing_matchings,
-                  naive_valid_presentations, reference_component_filter,
+                  naive_valid_presentations, reference_filter, reference_index,
                   reference_presentations, trivial_profile)
 
 #: canonical presentations on n points, n = 3..9
@@ -68,16 +70,47 @@ def test_golden_canonical_counts(n):
 def test_stream_equals_reference_over_constraint_grid():
     # the expensive part of the reference (validate + is_canonical on every
     # triple) depends only on n and the page-level constraints, so it runs
-    # once per such combination; the component filter is applied per case
+    # once per such combination; the component and crossing filters are
+    # applied per case, in emission order
     for n, split, min_page in itertools.product(range(3, 8), (False, True), (1, 2)):
         base = list(reference_presentations(SearchConstraints(
             n, prune_split_pairs=split, min_arcs_per_page=min_page)))
-        for required in (None, 1, 2, 3):
-            c = SearchConstraints(n, required, split, min_page)
+        for required, floor in itertools.product((None, 1, 2, 3), (0, 2, 3)):
+            c = SearchConstraints(n, required, split, min_page, floor)
             fast = list(enumerate_presentations(c))
-            assert fast == [p for p in base if reference_component_filter(p, c)], c
+            assert fast == [p for p in base if reference_filter(p, c)], c
             for pres in fast:
                 assert validate(pres).ok and is_canonical(pres), (c, pres)
+
+
+def test_interleaving_count_and_floor_against_the_projection():
+    # the enumerator's integer crossing count is the projection's, and the
+    # floor of a presentation's own profile never exceeds it (the floor is
+    # what three_page_index skips below, so this is its soundness oracle)
+    total = tight = 0
+    for n in range(3, 9):
+        for pres in enumerate_presentations(SearchConstraints(n)):
+            m1, _, m3 = pres.pages
+            table = interleaving_table(n, m1)
+            count = sum(table[a][b] for a, b in m3)
+            assert count == project(pres).crossing_count(), pres
+            floor = crossing_floor(profile(pres))
+            assert floor <= count, pres
+            total += 1
+            tight += floor == count
+    assert (total, tight) == (16950, 9010)
+
+
+def test_crossing_floor_of_small_links():
+    def braid(word, strands):
+        return profile(braid_closure_diagram(parse_word(word, strands)))
+
+    assert crossing_floor(trivial_profile(1)) == 0
+    assert crossing_floor(trivial_profile(3)) == 0
+    assert crossing_floor(profile(HOPF)) == 2
+    assert crossing_floor(closure_profile(2, 3)) == 3
+    assert crossing_floor(braid("s1 -s2 s1 -s2", 3)) == 4
+    assert crossing_floor(closure_profile(3, 3)) == 6
 
 
 def test_enumerated_presentations_are_canonical_and_unique():
@@ -115,6 +148,26 @@ def test_trefoil_absent_through_seven_points():
     assert not res.found
 
 
+@pytest.mark.parametrize("target, n_max, profiled, reference_profiled", [
+    (trivial_profile(1), 4, 1, 1),
+    (profile(HOPF), 6, 3, 114),
+    (closure_profile(2, 3), 8, 169, 6398),
+    (closure_profile(2, 4), 9, 315, 46284),
+    (closure_profile(2, 3), 5, 0, 37),
+], ids=["unknot", "hopf", "trefoil", "t24", "trefoil-below-index"])
+def test_crossing_floor_changes_the_work_not_the_result(
+        target, n_max, profiled, reference_profiled):
+    # the floor-free reference loop profiles every candidate; the search
+    # must find the same index and witness, or the same nothing, and print
+    # it as before, without the count
+    res = three_page_index(target, n_max)
+    n, witness, ref_count = reference_index(target, n_max)
+    assert (res.n, res.witness, res.found) == (n, witness, n is not None)
+    assert (res.profiled, ref_count) == (profiled, reference_profiled)
+    assert str(res) == (f"index={n} witness: {witness}" if n
+                        else f"not found for n <= {n_max}")
+
+
 def test_census_three_and_four():
     c3 = census(3)
     assert len(c3) == 2
@@ -124,7 +177,6 @@ def test_census_three_and_four():
 
 
 def test_census_six_contains_a_hopf_entry():
-    from threepage.torus import HOPF
     hopf_profile = profile(HOPF)
     assert any(equal_up_to_mirror(e.profile, hopf_profile) for e in census(6))
 

@@ -5,8 +5,9 @@ expectations are computed along a different path than the code under test:
 crossing signs come from semicircle calculus, the bracket from a sum over
 all 2^c smoothing states, enumeration counts from a naive
 generate-and-filter pass, the enumeration stream from a reference pass that
-validates and canonicalizes every candidate, and braid equality from the
-action on a free group.
+validates and canonicalizes every candidate, index searches from a loop
+that profiles every candidate without the crossing floor, and braid
+equality from the action on a free group.
 
 The helpers build test inputs and read results from the library's own
 machinery; nothing in the package calls them: the well-formedness check of
@@ -22,16 +23,18 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
-from threepage.diagram import PlanarDiagram, trace
+from threepage.diagram import PlanarDiagram, project, trace
 from threepage.invariants import (DEFAULT_CROSSING_LIMIT, CrossingLimitError,
-                                  InvariantProfile, bracket_skein)
+                                  InvariantProfile, bracket_skein,
+                                  equal_up_to_mirror, profile)
 from threepage.laurent import LOOP, LaurentPoly, writhe_unit
 from threepage.presentation import (Arc, PlacedArc, Step, ThreePagePresentation,
                                     arcs_interleave, components, is_canonical,
                                     symmetry_orbit, validate)
-from threepage.search import SearchConstraints, noncrossing_matchings
+from threepage.search import (SearchConstraints, enumerate_presentations,
+                              noncrossing_matchings)
 
 # -- geometric semicircle oracle -------------------------------------------------
 #
@@ -133,18 +136,34 @@ def naive_valid_presentations(n: int) -> list[ThreePagePresentation]:
     return out
 
 
-def reference_component_filter(pres: ThreePagePresentation,
-                               c: SearchConstraints) -> bool:
-    """The component constraint of c, checked through components()."""
-    return (c.required_components is None
-            or len(components(pres)) == c.required_components)
+def reference_filter(pres: ThreePagePresentation, c: SearchConstraints) -> bool:
+    """The component and crossing constraints of c, checked through
+    components() and the projected diagram."""
+    return ((c.required_components is None
+             or len(components(pres)) == c.required_components)
+            and project(pres).crossing_count() >= c.min_crossings)
+
+
+def reference_index(target: InvariantProfile, n_max: int
+                    ) -> tuple[Optional[int], Optional[ThreePagePresentation], int]:
+    """three_page_index without the crossing floor: (index, witness,
+    candidates profiled), profiling every candidate with the target's
+    component count."""
+    profiled = 0
+    for n in range(3, n_max + 1):
+        for pres in enumerate_presentations(
+                SearchConstraints(n, required_components=target.component_count)):
+            profiled += 1
+            if equal_up_to_mirror(profile(pres), target):
+                return n, pres, profiled
+    return None, None, profiled
 
 
 def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
     """The enumeration stream by generate-then-filter, in library order.
 
     Every (page 1, page 2, page 3) triple is built as an object and kept
-    only if validate, is_canonical and the component filter accept it.
+    only if validate, is_canonical and reference_filter accept it.
     """
     n = c.n
     points = tuple(range(1, n + 1))
@@ -175,7 +194,7 @@ def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
                     continue
                 if not is_canonical(pres):
                     continue
-                if reference_component_filter(pres, c):
+                if reference_filter(pres, c):
                     yield pres
 
 
