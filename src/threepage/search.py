@@ -131,7 +131,7 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     # len(m1) and so the page-size window), and page 3 only on its point
     # set, so each set is matched only once.  A page 1 on the other points
     # a < c < ... starts with an arc (a, b), b >= c, so it is at least
-    # ((a, c),), and a page 2 that or whose reversal lies below that fails
+    # ((a, c),); a page 2 below that, or whose reversal is below it, fails
     # the tests against page 1.  The kept pages share one tuple per arc.
     arcs = {(i, j): (i, j) for i in points for j in points if i < j}
     page2_options: dict[frozenset[int], list[tuple[Arc, ...]]] = {}
