@@ -207,24 +207,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         raise CliError("--target-braid requires --strands", USAGE_ERROR)
     _check_search_size(args.n_max)
     if args.target_braid is not None:
-        word = parse_word(args.target_braid, args.strands)
-        unused = set(range(1, word.strands)) - {i for i, _ in word.letters}
-        if args.prune_split_pairs and unused:
-            raise CliError(f"--prune-split-pairs needs a non-split target, but the "
-                           f"braid never uses s{min(unused)}, so its closure is "
-                           f"split", DOMAIN_ERROR)
-        target = profile(braid_closure_diagram(word))
+        target = profile(braid_closure_diagram(
+            parse_word(args.target_braid, args.strands)))
     else:
-        pres = _read_one(args.target_file)
-        if args.prune_split_pairs and (pair := detect_split_pair(pres)):
-            (page_a, (i, j)), (page_b, _) = pair
-            raise CliError(f"--prune-split-pairs needs a non-split target, but the "
-                           f"target has the arc {i}-{j} on both P{page_a + 1} and "
-                           f"P{page_b + 1}, so it is split", DOMAIN_ERROR)
-        target = profile(pres)
-    result = three_page_index(target, args.n_max,
-                              prune_split_pairs=args.prune_split_pairs)
-    print(result)
+        target = profile(_read_one(args.target_file))
+    print(three_page_index(target, args.n_max))
     return 0
 
 
@@ -333,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-braid", help="braid word, e.g. 's1 s1 s1'")
     p.add_argument("--strands", type=int)
     p.add_argument("--target-file", help="presentation whose link is the target")
-    p.add_argument("--prune-split-pairs", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("census", help="full canonical census for one n")

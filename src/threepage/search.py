@@ -33,8 +33,9 @@ class SearchConstraints:
     """Restrictions applied during enumeration.
 
     ``prune_split_pairs`` discards presentations containing two arcs with
-    identical endpoints on different pages; sound when the search target is
-    a non-split link, since such a pair certifies splittability.
+    identical endpoints on different pages, which certify splittability.
+    Only ``refute_t33_at_9`` sets it, which is sound because T(3,3) is
+    non-split; ``census`` and ``three_page_index`` leave it off.
     ``min_arcs_per_page`` encodes the bridge-number bound (every page of a
     presentation of L carries at least br(L) arcs).  ``min_crossings``
     discards presentations whose projection has fewer crossings, counted as
@@ -199,9 +200,13 @@ def census(n: int) -> list[CensusEntry]:
 
     Regeneration is deterministic down to the byte: entries are sorted by
     profile and serialisation, and all polynomial printing is canonical.
+    Entries with equal profiles share one profile object.
     """
-    entries = [CensusEntry(pres, profile(pres))
-               for pres in enumerate_presentations(SearchConstraints(n))]
+    shared: dict[InvariantProfile, InvariantProfile] = {}
+    entries = []
+    for pres in enumerate_presentations(SearchConstraints(n)):
+        prof = profile(pres)
+        entries.append(CensusEntry(pres, shared.setdefault(prof, prof)))
     entries.sort(key=lambda e: (e.profile.sort_key(), e.presentation.sort_key()))
     return entries
 
@@ -242,8 +247,7 @@ def crossing_floor(target: InvariantProfile) -> int:
     return max(-(-span // 4) - (k - 1), 2 * sum(target.abs_linking), 0)
 
 
-def three_page_index(target: InvariantProfile, n_max: int,
-                     prune_split_pairs: bool = False) -> IndexSearchResult:
+def three_page_index(target: InvariantProfile, n_max: int) -> IndexSearchResult:
     """Smallest n <= n_max carrying a presentation whose profile matches the
     target up to mirror, by exhaustive canonical search.
 
@@ -255,17 +259,14 @@ def three_page_index(target: InvariantProfile, n_max: int,
     each pair of components crosses at least 2 |lk| times.  So a not-found
     result is unconditional: the profile is an invariant of the link
     up to mirror, any presentation of the target link would have matched,
-    and the index exceeds n_max.  ``prune_split_pairs`` needs a non-split
-    target for this, and nothing here checks that: on a split target it may
-    skip every match and report a larger index.  A found witness only
-    matches the profile, so it is no stronger than the profile oracle.
+    and the index exceeds n_max.  A found witness only matches the
+    profile, so it is no stronger than the profile oracle.
     """
     floor = crossing_floor(target)
     profiled = 0
     for n in range(3, n_max + 1):
         constraints = SearchConstraints(
-            n, required_components=target.component_count,
-            prune_split_pairs=prune_split_pairs, min_crossings=floor)
+            n, required_components=target.component_count, min_crossings=floor)
         for pres in enumerate_presentations(constraints):
             profiled += 1
             if equal_up_to_mirror(profile(pres), target):

@@ -317,25 +317,22 @@ def test_search_checks_limit_before_building_the_target(monkeypatch):
     assert "search needs --target-braid or --target-file" in err
 
 
-def test_split_pair_pruning_rejects_a_visibly_split_target(tmp_path):
-    # both targets are split unlinks of index 4; the pruned search used to
-    # skip their presentations and print index=6
-    code, out, err = run(["search", "--n-max", "6", "--target-braid", "s1",
-                          "--strands", "3", "--prune-split-pairs"])
-    assert (code, out) == (1, "")
-    assert err == ("error: --prune-split-pairs needs a non-split target, but the "
-                   "braid never uses s2, so its closure is split\n")
-    target = tmp_path / "split.txt"
-    target.write_text("n=4; P1:1-2; P2:1-2,3-4; P3:3-4\n")
-    code, out, err = run(["search", "--n-max", "6", "--target-file", str(target),
-                          "--prune-split-pairs"])
-    assert (code, out) == (1, "")
-    assert err == ("error: --prune-split-pairs needs a non-split target, but the "
-                   "target has the arc 1-2 on both P1 and P2, so it is split\n")
-    for argv in (["--target-braid", "s1", "--strands", "3"],
-                 ["--target-file", str(target)]):
-        code, out, _ = run(["search", "--n-max", "6"] + argv)
-        assert code == 0 and out.startswith("index=4 "), argv
+def test_split_targets_get_their_index_and_no_pruning_flag(tmp_path):
+    # all three are the 2-component unlink, of index 4; split-pair pruning
+    # would skip its presentations, and the cancelling braid shows no sign
+    # of splitting, so search offers no such option
+    split = tmp_path / "split.txt"
+    split.write_text("n=4; P1:1-2; P2:1-2,3-4; P3:3-4\n")
+    for target in (["--target-braid", "s1", "--strands", "3"],
+                   ["--target-file", str(split)],
+                   ["--target-braid", "s1 -s1", "--strands", "2"]):
+        argv = ["search", "--n-max", "6"] + target
+        code, out, _ = run(argv)
+        assert (code, out) == (
+            0, "index=4 witness: n=4; P1:1-2; P2:3-4; P3:1-2,3-4\n"), target
+        code, out, err = run(argv + ["--prune-split-pairs"])
+        assert (code, out) == (2, ""), target
+        assert "unrecognized arguments: --prune-split-pairs" in err
 
 
 def test_refute_non_integer_env_limit_is_usage_error(monkeypatch):

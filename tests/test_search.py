@@ -144,7 +144,7 @@ def test_three_page_index_not_found_is_honest():
 
 def test_trefoil_absent_through_seven_points():
     # determines the trefoil's index: 8, witnessed by the (2,3) construction
-    res = three_page_index(closure_profile(2, 3), 7, prune_split_pairs=True)
+    res = three_page_index(closure_profile(2, 3), 7)
     assert not res.found
 
 
@@ -154,7 +154,8 @@ def test_trefoil_absent_through_seven_points():
     (closure_profile(2, 3), 8, 169, 6398),
     (closure_profile(2, 4), 9, 315, 46284),
     (closure_profile(2, 3), 5, 0, 37),
-], ids=["unknot", "hopf", "trefoil", "t24", "trefoil-below-index"])
+    (trivial_profile(2), 6, 1, 1),
+], ids=["unknot", "hopf", "trefoil", "t24", "trefoil-below-index", "unlink2"])
 def test_crossing_floor_changes_the_work_not_the_result(
         target, n_max, profiled, reference_profiled):
     # the floor-free reference loop profiles every candidate; the search
@@ -179,6 +180,13 @@ def test_census_three_and_four():
 def test_census_six_contains_a_hopf_entry():
     hopf_profile = profile(HOPF)
     assert any(equal_up_to_mirror(e.profile, hopf_profile) for e in census(6))
+
+
+def test_census_entries_share_one_profile_object_per_value():
+    # 294 entries, 4 profile values: the census keeps 4 profile objects
+    entries = census(6)
+    objects = {id(e.profile) for e in entries}
+    assert len(objects) == len({e.profile for e in entries}) == 4
 
 
 def test_census_lines_format():
