@@ -24,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from .diagram import abs_linking_multiset, project
 from .invariants import InvariantProfile, equal_up_to_mirror, profile
 from .presentation import Arc, ThreePagePresentation, flip_page, orbit_images
+from .torus import closure_profile
 
 
 @dataclass(frozen=True)
@@ -58,22 +60,17 @@ class SearchConstraints:
             raise ValueError("n must be positive")
 
 
-def noncrossing_matchings(points: Sequence[int],
-                          must_cover: frozenset[int] = frozenset(),
-                          ) -> Iterator[tuple[Arc, ...]]:
-    """All non-crossing partial matchings of an increasing point sequence,
-    required to cover every point of ``must_cover``; covering every point
-    gives the perfect matchings (none for an odd count)."""
+def noncrossing_matchings(points: Sequence[int]) -> Iterator[tuple[Arc, ...]]:
+    """All non-crossing partial matchings of an increasing point sequence."""
     if not points:
         yield ()
         return
     first, rest = points[0], points[1:]
-    if first not in must_cover:
-        yield from noncrossing_matchings(rest, must_cover)
+    yield from noncrossing_matchings(rest)
     for k, other in enumerate(rest):
         inside, outside = rest[:k], rest[k + 1:]
-        for m_in in noncrossing_matchings(inside, must_cover):
-            for m_out in noncrossing_matchings(outside, must_cover):
+        for m_in in noncrossing_matchings(inside):
+            for m_out in noncrossing_matchings(outside):
                 yield ((first, other),) + m_in + m_out
 
 
@@ -125,51 +122,38 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     candidate under ``min_crossings`` is dropped before the orbit test.
     """
     n = c.n
-    points = tuple(range(1, n + 1))
     min_page = c.min_arcs_per_page or 1
     floor = c.min_crossings
-    # page 2 depends only on the points page 1 leaves free (which also fix
-    # len(m1) and so the page-size window), and page 3 only on its point
-    # set, so each set is matched only once.  A page 1 on the other points
-    # a < c < ... starts with an arc (a, b), b >= c, so it is at least
-    # ((a, c),); a page 2 below that, or whose reversal is below it, fails
-    # the tests against page 1.  The kept pages share one tuple per arc.
-    arcs = {(i, j): (i, j) for i in points for j in points if i < j}
-    page2_options: dict[frozenset[int], list[tuple[Arc, ...]]] = {}
-    page3_options: dict[tuple[int, ...], list] = {}
-    for m1 in noncrossing_matchings(points):
+    # One page table: every non-crossing matching of 1..n in generation
+    # order, with its point reversal and the bitmask of the points it
+    # covers.  Pages 1 and 2 run over it; page 2 must cover the points page
+    # 1 leaves free.  Page 3 is a perfect matching of the points covered
+    # once, so it is looked up by that cover.  Filtering the table keeps
+    # the order in which the matchings of those points would be generated.
+    table = []
+    by_cover: dict[int, list] = {}
+    for m in noncrossing_matchings(range(1, n + 1)):
+        f = flip_page(n, m)
+        cover = sum(1 << i | 1 << j for i, j in m)
+        table.append((m, f, cover))
+        by_cover.setdefault(cover, []).append((m, f))
+    every_point = (1 << n + 1) - 2
+    for m1, f1, used1 in table:
         if not min_page <= len(m1) <= n - 2 * min_page:
             continue
-        f1 = flip_page(n, m1)
         if f1 < m1:
             continue
-        used1 = {pt for a in m1 for pt in a}
-        free = frozenset(points) - frozenset(used1)
-        options2 = page2_options.get(free)
-        if options2 is None:
-            least = (tuple(sorted(used1)[:2]),)
-            options2 = page2_options[free] = [
-                tuple(arcs[arc] for arc in m2)
-                for m2 in noncrossing_matchings(points, free)
-                if min_page <= len(m2) <= n - len(m1) - min_page
-                and m2 >= least and flip_page(n, m2) >= least]
         crossings = interleaving_table(n, m1) if floor else None
-        for m2 in options2:
-            if m2 < m1:
+        for m2, f2, used2 in table:
+            if used1 | used2 != every_point:
                 continue
-            f2 = flip_page(n, m2)
-            if f2 < m1:
+            if not min_page <= len(m2) <= n - len(m1) - min_page:
+                continue
+            if m2 < m1 or f2 < m1:
                 continue
             if c.prune_split_pairs and set(m1) & set(m2):
                 continue
-            used2 = {pt for a in m2 for pt in a}
-            deficit = tuple(pt for pt in points if (pt in used1) != (pt in used2))
-            options3 = page3_options.get(deficit)
-            if options3 is None:
-                options3 = page3_options[deficit] = [
-                    (m3, flip_page(n, m3))
-                    for m3 in noncrossing_matchings(deficit, frozenset(deficit))]
-            for m3, f3 in options3:
+            for m3, f3 in by_cover.get(used1 ^ used2, ()):
                 if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
                     continue
                 if floor and sum(crossings[a][b] for a, b in m3) < floor:
@@ -305,10 +289,6 @@ def refute_t33_at_9() -> RefutationReport:
     at nine points and no search limit is read here; the command line checks
     its limit before it calls this.
     """
-    from .torus import closure_profile
-
-    from .diagram import abs_linking_multiset, project
-
     target = closure_profile(3, 3)
     constraints = SearchConstraints(
         9, required_components=3, prune_split_pairs=True, min_arcs_per_page=3)

@@ -162,8 +162,11 @@ def reference_index(target: InvariantProfile, n_max: int
 def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
     """The enumeration stream by generate-then-filter, in library order.
 
-    Every (page 1, page 2, page 3) triple is built as an object and kept
-    only if validate, is_canonical and reference_filter accept it.
+    Each page runs over all non-crossing matchings of its points; page 2
+    is kept only if pages 1 and 2 cover every point, and page 3 only if it
+    is a perfect matching of the points they cover once.  Every triple is
+    built as an object and kept only if validate, is_canonical and
+    reference_filter accept it.
     """
     n = c.n
     points = tuple(range(1, n + 1))
@@ -172,7 +175,9 @@ def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
         if not min_page <= len(m1) <= n - 2 * min_page:
             continue
         used1 = {pt for a in m1 for pt in a}
-        for m2 in noncrossing_matchings(points, frozenset(points) - frozenset(used1)):
+        for m2 in noncrossing_matchings(points):
+            if used1 | {pt for a in m2 for pt in a} != set(points):
+                continue
             if not min_page <= len(m2) <= n - len(m1) - min_page:
                 continue
             if c.prune_split_pairs and set(m1) & set(m2):
@@ -184,8 +189,8 @@ def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
             deficit = tuple(pt for pt in points if degree[pt] == 1)
             if not deficit or len(m1) + len(m2) + len(deficit) // 2 != n:
                 continue
-            for m3 in noncrossing_matchings(deficit, frozenset(deficit)):
-                if len(m3) < min_page:
+            for m3 in noncrossing_matchings(deficit):
+                if 2 * len(m3) != len(deficit) or len(m3) < min_page:
                     continue
                 if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
                     continue
