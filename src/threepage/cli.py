@@ -17,8 +17,8 @@ from contextlib import contextmanager
 from typing import Iterator, Optional, TextIO
 
 from . import __version__
-from .braids import (cycle_count, exponent_sum, format_word, parse_word,
-                     permutation)
+from .braids import (BraidWord, cycle_count, exponent_sum, format_word,
+                     parse_word, permutation)
 from .diagram import braid_closure_diagram, pd_export, project, trace
 from .invariants import (CrossingLimitError, _jones_set, bracket_skein,
                          equal_up_to_mirror, profile)
@@ -57,6 +57,14 @@ def _check_search_size(n: int) -> None:
     if n > limit:
         raise CliError(f"n={n} exceeds the search limit {limit} "
                        f"(set {MAX_N_VAR} to raise it)", DOMAIN_ERROR)
+
+
+def _parse_word(text: str, strands: int) -> BraidWord:
+    """``parse_word`` for an option value; a word it rejects is a syntax error."""
+    try:
+        return parse_word(text, strands)
+    except ValueError as exc:
+        raise CliError(str(exc), USAGE_ERROR) from exc
 
 
 def _read_text(path: str) -> str:
@@ -208,7 +216,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     _check_search_size(args.n_max)
     if args.target_braid is not None:
         target = profile(braid_closure_diagram(
-            parse_word(args.target_braid, args.strands)))
+            _parse_word(args.target_braid, args.strands)))
     else:
         target = profile(_read_one(args.target_file))
     print(three_page_index(target, args.n_max))
@@ -257,16 +265,17 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_braid(args: argparse.Namespace) -> int:
-    word = parse_word(args.word, args.strands)
+    word = _parse_word(args.word, args.strands)
     print(f"word = {format_word(word) or '(empty)'} on {word.strands} strands")
     print(f"permutation = {list(permutation(word))}")
     print(f"closure components = {cycle_count(word)}")
     print(f"exponent sum = {exponent_sum(word)}")
+    if args.invariants or args.diagram:
+        closure = braid_closure_diagram(word)
     if args.invariants:
-        prof = profile(braid_closure_diagram(word))
-        print(f"closure profile: {prof}")
+        print(f"closure profile: {profile(closure)}")
     if args.diagram:
-        sys.stdout.write(pd_export(braid_closure_diagram(word)))
+        sys.stdout.write(pd_export(closure))
     return 0
 
 

@@ -34,19 +34,17 @@ from .torus import closure_profile
 class SearchConstraints:
     """Restrictions applied during enumeration.
 
-    ``prune_split_pairs`` discards presentations containing two arcs with
-    identical endpoints on different pages, which certify splittability.
-    Only ``refute_t33_at_9`` sets it, which is sound because T(3,3) is
+    ``prune_split_pairs`` discards presentations with a repeated arc (a
+    split pair: the same endpoints on two pages, which certify
+    splittability), that is, with fewer than n distinct arcs.  Only
+    ``refute_t33_at_9`` sets it, which is sound because T(3,3) is
     non-split; ``census`` and ``three_page_index`` leave it off.
     ``min_arcs_per_page`` encodes the bridge-number bound (every page of a
     presentation of L carries at least br(L) arcs).  ``min_crossings``
     discards presentations whose projection has fewer crossings, counted as
-    P1/P3 interleavings before any diagram is built.  ``three_page_index``
-    sets it to ``crossing_floor`` of its target, max(span_t V - (k - 1),
-    2 * sum |lk|, 0) for k components; no diagram of the target has fewer
-    crossings (its bracket span is at most 4c + 4(p - 1) with p <= k split
-    pieces, and each pair of components crosses 2 |lk| times or more), so
-    the skipped candidates could not have matched.
+    P1/P3 interleavings before any diagram is built; ``three_page_index``
+    sets it to ``crossing_floor`` of its target, which says why that is
+    sound.
     """
 
     n: int
@@ -77,22 +75,19 @@ def noncrossing_matchings(points: Sequence[int]) -> Iterator[tuple[Arc, ...]]:
 def _component_count(pages: Sequence[tuple[Arc, ...]]) -> int:
     """Number of link components of a valid presentation.
 
-    The walk leaves each point by the neighbour it did not come from; only a
-    two-arc component has equal neighbours, and it closes either way.
+    The arcs join into paths; ``ends`` maps each end of a path built so far
+    to its other end, and a point not yet reached is a path of its own.  An
+    arc joining the two ends of one path closes a component.
     """
-    neighbours: dict[int, list[int]] = {}
+    ends: dict[int, int] = {}
+    count = 0
     for page in pages:
         for i, j in page:
-            neighbours.setdefault(i, []).append(j)
-            neighbours.setdefault(j, []).append(i)
-    count = 0
-    while neighbours:
-        start, (point, _) = neighbours.popitem()
-        previous = start
-        while point != start:
-            a, b = neighbours.pop(point)
-            previous, point = point, (b if a == previous else a)
-        count += 1
+            a, b = ends.pop(i, i), ends.pop(j, j)
+            if a == j:
+                count += 1
+            else:
+                ends[a], ends[b] = b, a
     return count
 
 
@@ -151,10 +146,8 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
                 continue
             if m2 < m1 or f2 < m1:
                 continue
-            if c.prune_split_pairs and set(m1) & set(m2):
-                continue
             for m3, f3 in by_cover.get(used1 ^ used2, ()):
-                if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
+                if c.prune_split_pairs and len({*m1, *m2, *m3}) < n:
                     continue
                 if floor and sum(crossings[a][b] for a, b in m3) < floor:
                     continue
@@ -237,13 +230,10 @@ def three_page_index(target: InvariantProfile, n_max: int) -> IndexSearchResult:
 
     Only candidates with the target's component count and at least
     ``crossing_floor(target)`` crossings are profiled; no presentation of
-    the target link or its mirror falls below that floor, which is
-    max(span_t V - (k - 1), 2 * sum |lk|, 0) for k components: a diagram
-    with p <= k split pieces has bracket span at most 4c + 4(p - 1), and
-    each pair of components crosses at least 2 |lk| times.  So a not-found
-    result is unconditional: the profile is an invariant of the link
-    up to mirror, any presentation of the target link would have matched,
-    and the index exceeds n_max.  A found witness only matches the
+    the target link or its mirror falls below that floor (see there).  So a
+    not-found result is unconditional: the profile is an invariant of the
+    link up to mirror, any presentation of the target link would have
+    matched, and the index exceeds n_max.  A found witness only matches the
     profile, so it is no stronger than the profile oracle.
     """
     floor = crossing_floor(target)
@@ -274,12 +264,12 @@ class RefutationReport:
 def refute_t33_at_9() -> RefutationReport:
     """Show no 9-point presentation realises the (3,3)-torus link.
 
-    The link has three components and is non-split, so two arcs sharing both
-    endpoints would certify splittability.  Pruning such split pairs also
-    removes every two-arc component (two arcs on different pages with the
-    same endpoints), so every component has at least three arcs, hence
-    exactly three at n = 9.  A three-arc component occupies each page once
-    (its page sequence must be adjacent-distinct around a 3-cycle), so all
+    The link has three components and is non-split, so a repeated arc (two
+    arcs on different pages with the same endpoints) would certify
+    splittability.  A two-arc component is such a repeat, so pruning
+    repeats leaves every component with at least three arcs, hence exactly
+    three at n = 9.  A three-arc component occupies each page once (its
+    page sequence must be adjacent-distinct around a 3-cycle), so all
     pages hold exactly three arcs; with bridge number 3 that matches the
     three-arcs-per-page lower bound.  The search space is enumerated under
     those forced constraints and every candidate is profiled against the

@@ -448,6 +448,25 @@ def test_braid_command(monkeypatch):
     assert "closure profile" in out
 
 
-def test_braid_bad_word_domain_error(monkeypatch):
-    code, _, err = run(["braid", "--strands", "2", "--word", "s7"])
-    assert code == 1
+@pytest.mark.parametrize("strands, word, message", [
+    ("2", "x1", "bad braid letter 'x1' (expected e.g. 's2' or '-s2')"),
+    ("2", "s7", "generator index 7 out of range for 2 strands"),
+    ("0", "s1", "strand count must be positive, got 0"),
+], ids=["syntax", "generator", "strands"])
+def test_bad_braid_word_is_usage_error(strands, word, message):
+    # braid and search both exit 2, with the library's message
+    for argv in (["braid", "--strands", strands, "--word", word],
+                 ["search", "--n-max", "4", "--target-braid", word,
+                  "--strands", strands]):
+        code, out, err = run(argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_braid_invariants_and_diagram_together():
+    argv = ["braid", "--strands", "3", "--word", "s1 -s2 s1 -s2"]
+    _, head, _ = run(argv)
+    _, invariants, _ = run(argv + ["--invariants"])
+    _, diagram, _ = run(argv + ["--diagram"])
+    code, both, _ = run(argv + ["--invariants", "--diagram"])
+    assert code == 0
+    assert both == invariants + diagram[len(head):]

@@ -8,9 +8,10 @@ from threepage.diagram import braid_closure_diagram, project
 from threepage.invariants import profile, equal_up_to_mirror
 from threepage.presentation import (components, detect_split_pair,
                                     is_canonical, validate)
-from threepage.search import (SearchConstraints, census, crossing_floor,
-                              enumerate_presentations, interleaving_table,
-                              noncrossing_matchings, three_page_index)
+from threepage.search import (SearchConstraints, _component_count, census,
+                              crossing_floor, enumerate_presentations,
+                              interleaving_table, noncrossing_matchings,
+                              three_page_index)
 from threepage.torus import HOPF, UNKNOT_TRIANGLE, closure_profile
 
 from util import (canonicalize, insert_kink, naive_noncrossing_matchings,
@@ -150,9 +151,25 @@ def test_enumerated_presentations_are_canonical_and_unique():
         seen.add(key)
 
 
-def test_split_pair_pruning_is_sound():
-    full = _all(6)
-    pruned = {p.sort_key() for p in _all(6, prune_split_pairs=True)}
+def test_component_count_matches_the_walk():
+    # the enumerator's path-end join against components(), on every
+    # canonical presentation for n = 3..8 and on the refute-t33 stream
+    streams = [_all(n) for n in range(3, 9)]
+    assert sum(map(len, streams)) == 16950
+    streams.append(_all(9, required_components=3, prune_split_pairs=True,
+                        min_arcs_per_page=3))
+    assert len(streams[-1]) == 500
+    for stream in streams:
+        for pres in stream:
+            assert _component_count(pres.pages) == len(components(pres)), pres
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_split_pair_pruning_is_sound(n):
+    # the enumerator drops a presentation at the leaf when its n arcs are
+    # not all distinct; detect_split_pair is the independent oracle
+    full = _all(n)
+    pruned = {p.sort_key() for p in _all(n, prune_split_pairs=True)}
     for pres in full:
         if detect_split_pair(pres) is None:
             assert pres.sort_key() in pruned
