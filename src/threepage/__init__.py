@@ -18,7 +18,7 @@ from .search import (CensusEntry, IndexSearchResult, RefutationReport,
                      SearchConstraints, census, census_text, crossing_floor,
                      enumerate_presentations, refute_t33_at_9,
                      three_page_index)
-from .torus import (HOPF, UNKNOT_TRIANGLE, BoundsReport, TorusParams, bounds,
+from .torus import (HOPF, UNKNOT_TRIANGLE, BoundsReport, bounds,
                     closure_profile, tnn, tpq, tpq_tight)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .presentation import (InvalidPresentationError, ParseError,
                            detect_split_pair, parse)
 from .render import RenderSpec, render
 from .search import census, census_text, refute_t33_at_9, three_page_index
-from .torus import TorusParams, bounds, closure_profile, tnn, tpq, tpq_tight
+from .torus import bounds, closure_profile, normalize, tpq, tpq_tight
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -143,17 +143,19 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.family == "tnn":
         if args.n is None:
             raise CliError("construct tnn requires --n", USAGE_ERROR)
-        pres = tnn(args.n)
+        if args.p is not None or args.q is not None:
+            raise CliError("construct tnn takes --n, not --p or --q", USAGE_ERROR)
         p = q = args.n
     else:
         if args.p is None or args.q is None:
             raise CliError("construct tpq requires --p and --q", USAGE_ERROR)
-        params, mirrored = TorusParams.normalize(args.p, args.q)
+        if args.n is not None:
+            raise CliError("construct tpq takes --p and --q, not --n", USAGE_ERROR)
+        p, q, mirrored = normalize(args.p, args.q)
         if mirrored:
             print(f"note: ({args.p},{args.q}) normalised to "
-                  f"({params.p},{params.q}) up to mirror", file=sys.stderr)
-        p, q = params.p, params.q
-        pres = tpq_tight(p, q) if args.tight else tpq(p, q)
+                  f"({p},{q}) up to mirror", file=sys.stderr)
+    pres = tpq_tight(p, q) if args.tight else tpq(p, q)
     print(pres.serialize())
     if args.verify:
         ok = equal_up_to_mirror(profile(pres), closure_profile(p, q))
@@ -163,9 +165,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    params, mirrored = TorusParams.normalize(args.p, args.q)
-    rep = bounds(params.p, params.q)
-    print(f"torus link ({params.p},{params.q})"
+    p, q, mirrored = normalize(args.p, args.q)
+    rep = bounds(p, q)
+    print(f"torus link ({p},{q})"
           + (" [mirrored input]" if mirrored else ""))
     print(f"  arc_index      = {rep.arc_index}")
     print(f"  bridge_bound   = {rep.bridge_bound}   (3 * bridge number)")
@@ -211,6 +213,12 @@ def cmd_search(args: argparse.Namespace) -> int:
                        f"a presentation, got {args.n_max}", USAGE_ERROR)
     if args.target_braid is None and args.target_file is None:
         raise CliError("search needs --target-braid or --target-file", USAGE_ERROR)
+    if args.target_braid is not None and args.target_file is not None:
+        raise CliError("give --target-braid or --target-file, not both",
+                       USAGE_ERROR)
+    if args.strands is not None and args.target_braid is None:
+        raise CliError("--strands goes with --target-braid, not --target-file",
+                       USAGE_ERROR)
     if args.target_braid is not None and args.strands is None:
         raise CliError("--target-braid requires --strands", USAGE_ERROR)
     _check_search_size(args.n_max)

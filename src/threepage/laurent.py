@@ -54,15 +54,8 @@ class LaurentPoly:
         return LaurentPoly.from_dict(d)
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        if len(self.terms) == 1:
-            (e, c), = self.terms
-            if c in (1, -1):
-                return LaurentPoly(((e * k, c ** abs(k)),))
-            if k >= 0:
-                return LaurentPoly(((e * k, c ** k),))
         if k < 0:
-            raise ValueError("negative powers are only defined for the "
-                             "monomials A^e and -A^e")
+            raise ValueError(f"need a power k >= 0, got {k}")
         out = ONE
         for _ in range(k):
             out = out * self
@@ -84,13 +77,10 @@ ONE = LaurentPoly.monomial(0)
 #: Value of a disjoint unknot:  delta = -A^2 - A^-2.
 LOOP = LaurentPoly.from_dict({2: -1, -2: -1})
 
-#: Writhe-normalisation unit:  -A^3.
-NEG_A3 = LaurentPoly.monomial(3, -1)
-
 
 def writhe_unit(power: int) -> LaurentPoly:
-    """(-A^3)^power for a possibly negative integer power."""
-    return NEG_A3 ** power
+    """(-A^3)^power, the writhe-normalisation unit, for any integer power."""
+    return LaurentPoly(((3 * power, -1 if power % 2 else 1),))
 
 
 def in_t_variable(poly: LaurentPoly) -> str:

@@ -8,7 +8,6 @@ ground-truth realisation of the same link.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,37 +24,19 @@ HOPF = ThreePagePresentation.of(
 UNKNOT_TRIANGLE = ThreePagePresentation.of(3, [(1, 2)], [(2, 3)], [(1, 3)])
 
 
-@dataclass(frozen=True)
-class TorusParams:
-    """Normalised torus-link parameters with 2 <= p <= q."""
-
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.p <= self.q:
-            raise ValueError(f"need 2 <= p <= q, got p={self.p}, q={self.q}")
-
-    @property
-    def components(self) -> int:
-        return math.gcd(self.p, self.q)
-
-    @staticmethod
-    def normalize(p: int, q: int) -> tuple["TorusParams", bool]:
-        """Bring arbitrary nonzero (p, q) into range using the torus-link
-        symmetries: swapping p and q preserves the link, negating one
-        parameter mirrors it, negating both preserves it.  Returns the
-        normalised parameters and whether a mirror was applied."""
-        if p == 0 or q == 0:
-            raise ValueError("torus parameters must be nonzero")
-        mirrored = (p < 0) != (q < 0)
-        p, q = abs(p), abs(q)
-        if p > q:
-            p, q = q, p
-        if p == 1:
-            raise ValueError(f"({p},{q}) is the trivial knot; no torus "
-                             "constructor applies")
-        return TorusParams(p, q), mirrored
+def normalize(p: int, q: int) -> tuple[int, int, bool]:
+    """Bring arbitrary nonzero (p, q) into the range 2 <= p <= q using the
+    torus-link symmetries: swapping p and q preserves the link, negating one
+    parameter mirrors it, negating both preserves it.  Returns the
+    normalised p and q and whether a mirror was applied."""
+    if p == 0 or q == 0:
+        raise ValueError("torus parameters must be nonzero")
+    mirrored = (p < 0) != (q < 0)
+    p, q = sorted((abs(p), abs(q)))
+    if p == 1:
+        raise ValueError(f"({p},{q}) is the trivial knot; no torus "
+                         "constructor applies")
+    return p, q, mirrored
 
 
 def closure_profile(p: int, q: int) -> InvariantProfile:
@@ -155,14 +136,9 @@ class BoundsReport:
 
 def bounds(p: int, q: int) -> BoundsReport:
     """All torus bounds for normalised parameters (2 <= p <= q)."""
-    params = TorusParams(p, q)
-    arc_index = p + q
-    bridge_bound = 3 * min(p, q)
-    upper_general = 2 * p + 2 * q - 2
-    upper_tight = 2 * p + 2 * q - 3 if q >= 2 * p else None
-    exact = 4 * p - 2 if p == q else None
-    for upper in filter(None, (upper_general, upper_tight, exact)):
-        assert bridge_bound <= upper and arc_index <= upper, \
-            f"bound ordering violated for {params}"
-    return BoundsReport(p, q, arc_index, bridge_bound, upper_general,
-                        upper_tight, exact)
+    if not 2 <= p <= q:
+        raise ValueError(f"need 2 <= p <= q, got p={p}, q={q}")
+    return BoundsReport(p, q, arc_index=p + q, bridge_bound=3 * p,
+                        upper_general=2 * p + 2 * q - 2,
+                        upper_tight=2 * p + 2 * q - 3 if q >= 2 * p else None,
+                        exact=4 * p - 2 if p == q else None)

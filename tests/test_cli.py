@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from threepage.cli import main
-from threepage.torus import HOPF, tnn
+from threepage.torus import HOPF, tnn, tpq, tpq_tight
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -39,6 +39,22 @@ def test_construct_normalises_parameters(monkeypatch):
     assert code == 0
     assert "normalised to (2,3)" in err
     assert "verification: PASS" in out
+
+
+def test_construct_rejects_the_other_familys_parameters():
+    for argv, message in (
+            (["tnn", "--n", "3", "--p", "5"], "construct tnn takes --n, not --p or --q"),
+            (["tnn", "--n", "3", "--q", "5"], "construct tnn takes --n, not --p or --q"),
+            (["tpq", "--p", "2", "--q", "3", "--n", "9"],
+             "construct tpq takes --p and --q, not --n")):
+        code, out, err = run(["construct"] + argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_construct_tnn_tight_is_out_of_the_tight_range():
+    code, out, err = run(["construct", "tnn", "--n", "3", "--tight"])
+    assert (code, out) == (1, "")
+    assert err == "error: need 2 <= p and 2p <= q, got p=3, q=3\n"
 
 
 def test_bounds_table(monkeypatch):
@@ -335,6 +351,19 @@ def test_split_targets_get_their_index_and_no_pruning_flag(tmp_path):
         assert "unrecognized arguments: --prune-split-pairs" in err
 
 
+def test_search_rejects_options_of_the_other_target(tmp_path):
+    unknot = tmp_path / "unknot.txt"
+    unknot.write_text("n=3; P1:1-2; P2:2-3; P3:1-3\n")
+    for extra, names in (
+            (["--target-braid", "s1 s1", "--strands", "2",
+              "--target-file", str(unknot)], ("--target-braid", "--target-file")),
+            (["--strands", "2", "--target-file", str(unknot)],
+             ("--strands", "--target-file"))):
+        code, out, err = run(["search", "--n-max", "6"] + extra)
+        assert (code, out) == (2, ""), extra
+        assert all(name in err for name in names), err
+
+
 def test_refute_non_integer_env_limit_is_usage_error(monkeypatch):
     monkeypatch.setenv("THREEPAGE_MAX_N", "abc")
     code, out, err = run(["refute-t33"])
@@ -426,15 +455,16 @@ def test_render_ascii_stdout(monkeypatch):
 
 
 def test_construct_validate_roundtrip_over_grid(monkeypatch):
-    cases = ([["tnn", "--n", str(n)] for n in (2, 3, 4, 5)]
-             + [["tpq", "--p", str(p), "--q", str(q)]
+    cases = ([(["tnn", "--n", str(n)], tnn(n)) for n in (2, 3, 4, 5)]
+             + [(["tpq", "--p", str(p), "--q", str(q)], tpq(p, q))
                 for p, q in ((2, 3), (2, 5), (3, 4), (3, 5))]
-             + [["tpq", "--p", str(p), "--q", str(q), "--tight"]
+             + [(["tpq", "--p", str(p), "--q", str(q), "--tight"], tpq_tight(p, q))
                 for p, q in ((2, 4), (2, 5), (2, 6), (3, 6))])
-    for extra in cases:
+    for extra, pres in cases:
         code, out, _ = run(["construct"] + extra)
         assert code == 0
         line = out.splitlines()[0]
+        assert line == pres.serialize(), extra
         code, out, _ = run(["validate", "-"], stdin_text=line,
                            monkeypatch=monkeypatch)
         assert code == 0 and "ok" in out, extra

@@ -1,8 +1,8 @@
 import pytest
 
 from threepage.presentation import validate
-from threepage.torus import (HOPF, TorusParams, bounds, closure_profile, tnn,
-                             tpq, tpq_tight)
+from threepage.torus import (HOPF, bounds, closure_profile, normalize, tnn, tpq,
+                             tpq_tight)
 from threepage.invariants import equal_up_to_mirror, profile
 
 
@@ -74,17 +74,14 @@ def test_parameter_validation():
 
 
 def test_torus_params_normalize():
-    params, mirrored = TorusParams.normalize(5, 2)
-    assert (params.p, params.q) == (2, 5) and not mirrored
-    params, mirrored = TorusParams.normalize(-3, 2)
-    assert (params.p, params.q) == (2, 3) and mirrored
-    params, mirrored = TorusParams.normalize(-4, -6)
-    assert (params.p, params.q) == (4, 6) and not mirrored
-    assert params.components == 2
-    with pytest.raises(ValueError):
-        TorusParams.normalize(1, 7)
-    with pytest.raises(ValueError):
-        TorusParams.normalize(0, 3)
+    assert normalize(5, 2) == (2, 5, False)
+    assert normalize(-3, 2) == (2, 3, True)
+    assert normalize(3, -2) == (2, 3, True)
+    assert normalize(-4, -6) == (4, 6, False)
+    with pytest.raises(ValueError, match=r"^\(1,7\) is the trivial knot"):
+        normalize(7, -1)
+    with pytest.raises(ValueError, match="^torus parameters must be nonzero$"):
+        normalize(0, 3)
 
 
 def test_bounds_examples():
@@ -97,6 +94,13 @@ def test_bounds_examples():
     rep = bounds(2, 5)
     assert rep.upper_tight == 11 == 2 * (2 + 5) - 3
     assert rep.upper_general == 12 == 2 * (2 + 5) - 2
+
+
+def test_bounds_rejects_unnormalised_parameters():
+    for p, q in ((3, 2), (1, 3)):
+        with pytest.raises(ValueError,
+                           match=rf"^need 2 <= p <= q, got p={p}, q={q}$"):
+            bounds(p, q)
 
 
 def test_bounds_orderings():
