@@ -44,7 +44,7 @@ class SearchConstraints:
     discards presentations whose projection has fewer crossings, counted as
     P1/P3 interleavings before any diagram is built; ``three_page_index``
     sets it to ``crossing_floor`` of its target, which says why that is
-    sound.
+    sound.  ``enumerate_presentations`` says where each rule runs.
     """
 
     n: int
@@ -56,6 +56,8 @@ class SearchConstraints:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.min_arcs_per_page is not None and self.min_arcs_per_page < 1:
+            raise ValueError("min_arcs_per_page must be positive")
 
 
 def noncrossing_matchings(points: Sequence[int]) -> Iterator[tuple[Arc, ...]]:
@@ -72,23 +74,25 @@ def noncrossing_matchings(points: Sequence[int]) -> Iterator[tuple[Arc, ...]]:
                 yield ((first, other),) + m_in + m_out
 
 
-def _component_count(pages: Sequence[tuple[Arc, ...]]) -> int:
-    """Number of link components of a valid presentation.
-
-    The arcs join into paths; ``ends`` maps each end of a path built so far
-    to its other end, and a point not yet reached is a path of its own.  An
-    arc joining the two ends of one path closes a component.
-    """
-    ends: dict[int, int] = {}
+def _join(ends: dict[int, int], page: Sequence[Arc]) -> int:
+    """Join the arcs of page onto the paths built so far, updating in place
+    ``ends``, which maps each end of a path to its other end (a point not yet
+    reached is a path of its own).  Return the number of components closed,
+    that is of arcs joining the two ends of one path."""
     count = 0
-    for page in pages:
-        for i, j in page:
-            a, b = ends.pop(i, i), ends.pop(j, j)
-            if a == j:
-                count += 1
-            else:
-                ends[a], ends[b] = b, a
+    for i, j in page:
+        a, b = ends.pop(i, i), ends.pop(j, j)
+        if a == j:
+            count += 1
+        else:
+            ends[a], ends[b] = b, a
     return count
+
+
+def _component_count(pages: Sequence[tuple[Arc, ...]]) -> int:
+    """Number of link components of a valid presentation."""
+    ends: dict[int, int] = {}
+    return sum(_join(ends, page) for page in pages)
 
 
 def interleaving_table(n: int, page: Sequence[Arc]) -> list[list[int]]:
@@ -114,7 +118,11 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     matching, page 2 covers every point page 1 leaves free, and page 3 is a
     perfect matching of the points that still meet one arc.  The page-size
     bounds leave page 3 with at least ``min_arcs_per_page`` arcs.  A
-    candidate under ``min_crossings`` is dropped before the orbit test.
+    prefix (pages 1 and 2) is cut when no page 3 of its cover reaches
+    ``min_crossings``, a maximum kept per page 1 and cover.  Page 3 runs
+    only over the matchings of its cover that close exactly the missing
+    components, kept per pairing of the path ends pages 1 and 2 leave.
+    Each leaf then meets the split-pair rule, the floor and the orbit test.
     """
     n = c.n
     min_page = c.min_arcs_per_page or 1
@@ -133,12 +141,19 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
         table.append((m, f, cover))
         by_cover.setdefault(cover, []).append((m, f))
     every_point = (1 << n + 1) - 2
+    # pairing of path ends (end a's partner in bits (a + 1) * width on) and
+    # components still to close -> the page-3 candidates closing that many
+    width = n.bit_length()
+    closing: dict[int, list] = {}
     for m1, f1, used1 in table:
         if not min_page <= len(m1) <= n - 2 * min_page:
             continue
         if f1 < m1:
             continue
-        crossings = interleaving_table(n, m1) if floor else None
+        if floor:
+            crossings = interleaving_table(n, m1)
+            best: dict[int, int] = {}  # cover -> most crossings of a page 3
+        ends1 = {k: v for i, j in m1 for k, v in ((i, j), (j, i))}
         for m2, f2, used2 in table:
             if used1 | used2 != every_point:
                 continue
@@ -146,16 +161,31 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
                 continue
             if m2 < m1 or f2 < m1:
                 continue
-            for m3, f3 in by_cover.get(used1 ^ used2, ()):
+            cover = used1 ^ used2
+            page3 = by_cover[cover]
+            if floor:
+                if cover not in best:
+                    best[cover] = max(sum(crossings[a][b] for a, b in m3)
+                                      for m3, _ in page3)
+                if best[cover] < floor:
+                    continue
+            if c.required_components is not None:
+                ends = dict(ends1)
+                missing = c.required_components - _join(ends, m2)
+                if missing < 1:  # the last arc of page 3 closes one
+                    continue
+                key = sum(b << a * width for a, b in ends.items()) << width | missing
+                if key not in closing:
+                    closing[key] = [p for p in page3
+                                    if _join(dict(ends), p[0]) == missing]
+                page3 = closing[key]
+            for m3, f3 in page3:
                 if c.prune_split_pairs and len({*m1, *m2, *m3}) < n:
                     continue
                 if floor and sum(crossings[a][b] for a, b in m3) < floor:
                     continue
                 pages = (m1, m2, m3)
                 if min(orbit_images(pages, (f1, f2, f3))) != pages:
-                    continue
-                if (c.required_components is not None
-                        and _component_count(pages) != c.required_components):
                     continue
                 yield ThreePagePresentation(n, pages)
 

@@ -31,6 +31,15 @@ def test_no_presentations_below_three_points():
     assert _all(2) == []
 
 
+def test_constraints_reject_non_positive_sizes():
+    # a page-size bound below one would let a page go empty, and an empty
+    # page is not a valid presentation
+    for kw in ({"n": 0}, {"n": 4, "min_arcs_per_page": 0},
+               {"n": 4, "min_arcs_per_page": -1}):
+        with pytest.raises(ValueError):
+            SearchConstraints(**kw)
+
+
 def test_three_points_gives_only_unknot_triangles():
     # the three arcs of a triangle can sit on the three pages in two ways
     # that the mirror-faithful order-6 group does not identify (swapping two
@@ -110,6 +119,43 @@ def test_stream_order_is_frozen_beyond_the_reference(c, count, digest):
     lines = [pres.serialize() + "\n" for pres in enumerate_presentations(c)]
     assert len(lines) == count
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
+def test_component_streams_partition_the_stream_past_the_reference():
+    # the component count is decided per path-end pairing at the prefix;
+    # at n = 8 each count's stream is an order-preserving subsequence of
+    # the full stream, and the four of them partition it
+    full = _all(8)
+    position = {pres: i for i, pres in enumerate(full)}
+    seen: set[int] = set()
+    for k in range(1, 5):
+        stream = _all(8, required_components=k)
+        index = [position[pres] for pres in stream]
+        assert all(a < b for a, b in zip(index, index[1:])), k
+        assert seen.isdisjoint(index), k
+        assert all(len(components(pres)) == k for pres in stream), k
+        seen.update(index)
+    assert len(seen) == len(full) == 14636
+
+
+def test_floor_stream_filters_the_stream_past_the_reference():
+    # the floor cuts a prefix when no page 3 of its cover reaches it; at
+    # n = 8 each floor's stream is the full stream filtered by its
+    # interleaving count, and floors 1 to 6 leave ever fewer of the 140
+    # page 1s of the full stream
+    full = _all(8)
+    counts = []
+    for pres in full:
+        m1, _, m3 = pres.pages
+        table = interleaving_table(8, m1)
+        counts.append(sum(table[a][b] for a, b in m3))
+    page1s = []
+    for floor in range(1, 7):
+        stream = _all(8, min_crossings=floor)
+        assert stream == [p for p, c in zip(full, counts) if c >= floor], floor
+        page1s.append(len({pres.pages[0] for pres in stream}))
+    assert len({pres.pages[0] for pres in full}) == 140
+    assert page1s == [118, 88, 40, 15, 1, 0]
 
 
 def test_interleaving_count_and_floor_against_the_projection():
