@@ -146,7 +146,7 @@ def _jones_set(tr: Trace, bracket: LaurentPoly) -> frozenset[LaurentPoly]:
     return frozenset(writhe_unit(-w) * bracket for w in {tr.writhe(o) for o in tr.orientations()})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantProfile:
     """Orientation-insensitive identification record for a link type.
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial, stored as (exponent, coeff) terms.
 

@@ -67,7 +67,7 @@ class PlacedArc(NamedTuple):
     arc: Arc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThreePagePresentation:
     """n binding points plus an ordered triple of pages, each a sorted tuple
     of arcs (i, j) with i < j.

@@ -44,7 +44,12 @@ class SearchConstraints:
     discards presentations whose projection has fewer crossings, counted as
     P1/P3 interleavings before any diagram is built; ``three_page_index``
     sets it to ``crossing_floor`` of its target, which says why that is
-    sound.  ``enumerate_presentations`` says where each rule runs.
+    sound.  ``irreducible`` discards presentations that merge into one on
+    n - 2 points: a short arc (two points adjacent on the binding circle,
+    so (1, n) counts too) on a page that holds another arc, whose ends
+    meet two different arcs of one other page.  Only ``three_page_index``
+    sets it, and says why that is sound.  ``enumerate_presentations`` says
+    where each rule runs.
     """
 
     n: int
@@ -52,12 +57,19 @@ class SearchConstraints:
     prune_split_pairs: bool = False
     min_arcs_per_page: Optional[int] = None
     min_crossings: int = 0
+    irreducible: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.min_arcs_per_page is not None and self.min_arcs_per_page < 1:
             raise ValueError("min_arcs_per_page must be positive")
+
+
+#: one shared tuple per arc, filled as ``noncrossing_matchings`` meets it,
+#: so that every page holding an arc refers to the same object; an entry
+#: depends only on its arc, so sharing it across searches changes no result
+_ARCS: dict[Arc, Arc] = {}
 
 
 def noncrossing_matchings(points: Sequence[int]) -> Iterator[tuple[Arc, ...]]:
@@ -68,10 +80,11 @@ def noncrossing_matchings(points: Sequence[int]) -> Iterator[tuple[Arc, ...]]:
     first, rest = points[0], points[1:]
     yield from noncrossing_matchings(rest)
     for k, other in enumerate(rest):
+        arc = _ARCS.setdefault((first, other), (first, other))
         inside, outside = rest[:k], rest[k + 1:]
         for m_in in noncrossing_matchings(inside):
             for m_out in noncrossing_matchings(outside):
-                yield ((first, other),) + m_in + m_out
+                yield (arc,) + m_in + m_out
 
 
 def _join(ends: dict[int, int], page: Sequence[Arc]) -> int:
@@ -122,30 +135,47 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     ``min_crossings``, a maximum kept per page 1 and cover.  Page 3 runs
     only over the matchings of its cover that close exactly the missing
     components, kept per pairing of the path ends pages 1 and 2 leave.
-    Each leaf then meets the split-pair rule, the floor and the orbit test.
+    The irreducible rule cuts a prefix when a short arc of page 1 merges
+    into page 2 or one of page 2 into page 1, whatever page 3 is.  Each
+    leaf then meets the split-pair rule, the rest of the irreducible rule
+    (a short arc of page 1 or 2 merging into page 3, or one of page 3 into
+    page 1 or 2), the floor and the orbit test.
     """
     n = c.n
     min_page = c.min_arcs_per_page or 1
     floor = c.min_crossings
+    irreducible = c.irreducible
     # One page table: every non-crossing matching of 1..n in generation
-    # order, with its point reversal and the bitmask of the points it
-    # covers.  Pages 1 and 2 run over it; page 2 must cover the points page
-    # 1 leaves free.  Page 3 is a perfect matching of the points covered
+    # order, with its point reversal, the bitmask of the points it covers
+    # and, under the irreducible rule, two bitmasks over the n adjacent
+    # pairs of the binding circle, bit i for (i, i + 1) and bit 0 for
+    # (n, 1).  ``merge`` holds its short arcs if it has another arc;
+    # ``free`` holds the pairs whose points it covers with two different
+    # arcs.  A short arc of one page merges into another page when its bit
+    # is in the merge mask of the one and the free mask of the other.
+    # Pages 1 and 2 run over the table; page 2 must cover the points page 1
+    # leaves free.  Page 3 is a perfect matching of the points covered
     # once, so it is looked up by that cover.  Filtering the table keeps
     # the order in which the matchings of those points would be generated.
     table = []
     by_cover: dict[int, list] = {}
     for m in noncrossing_matchings(range(1, n + 1)):
-        f = flip_page(n, m)
         cover = sum(1 << i | 1 << j for i, j in m)
-        table.append((m, f, cover))
-        by_cover.setdefault(cover, []).append((m, f))
+        merge = free = 0
+        if irreducible:
+            short = sum(1 << (i if j == i + 1 else 0) for i, j in m
+                        if j - i in (1, n - 1))
+            pairs = (cover & cover >> 1) | (cover >> n & cover >> 1 & 1)
+            merge, free = short if len(m) > 1 else 0, pairs & ~short
+        entry = (m, flip_page(n, m), cover, merge, free)
+        table.append(entry)
+        by_cover.setdefault(cover, []).append(entry)
     every_point = (1 << n + 1) - 2
     # pairing of path ends (end a's partner in bits (a + 1) * width on) and
     # components still to close -> the page-3 candidates closing that many
     width = n.bit_length()
     closing: dict[int, list] = {}
-    for m1, f1, used1 in table:
+    for m1, f1, used1, merge1, free1 in table:
         if not min_page <= len(m1) <= n - 2 * min_page:
             continue
         if f1 < m1:
@@ -154,19 +184,23 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
             crossings = interleaving_table(n, m1)
             best: dict[int, int] = {}  # cover -> most crossings of a page 3
         ends1 = {k: v for i, j in m1 for k, v in ((i, j), (j, i))}
-        for m2, f2, used2 in table:
+        for m2, f2, used2, merge2, free2 in table:
             if used1 | used2 != every_point:
                 continue
             if not min_page <= len(m2) <= n - len(m1) - min_page:
                 continue
             if m2 < m1 or f2 < m1:
                 continue
+            if irreducible:
+                if merge1 & free2 or merge2 & free1:
+                    continue
+                merge12, free12 = merge1 | merge2, free1 | free2
             cover = used1 ^ used2
             page3 = by_cover[cover]
             if floor:
                 if cover not in best:
                     best[cover] = max(sum(crossings[a][b] for a, b in m3)
-                                      for m3, _ in page3)
+                                      for m3, *_ in page3)
                 if best[cover] < floor:
                     continue
             if c.required_components is not None:
@@ -179,8 +213,10 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
                     closing[key] = [p for p in page3
                                     if _join(dict(ends), p[0]) == missing]
                 page3 = closing[key]
-            for m3, f3 in page3:
+            for m3, f3, _, merge3, free3 in page3:
                 if c.prune_split_pairs and len({*m1, *m2, *m3}) < n:
+                    continue
+                if irreducible and (merge12 & free3 or merge3 & free12):
                     continue
                 if floor and sum(crossings[a][b] for a, b in m3) < floor:
                     continue
@@ -222,7 +258,7 @@ def census_text(entries: Sequence[CensusEntry]) -> str:
     return "".join(entry.line() + "\n" for entry in entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexSearchResult:
     found: bool
     n: Optional[int]
@@ -258,19 +294,46 @@ def three_page_index(target: InvariantProfile, n_max: int) -> IndexSearchResult:
     """Smallest n <= n_max carrying a presentation whose profile matches the
     target up to mirror, by exhaustive canonical search.
 
-    Only candidates with the target's component count and at least
-    ``crossing_floor(target)`` crossings are profiled; no presentation of
-    the target link or its mirror falls below that floor (see there).  So a
-    not-found result is unconditional: the profile is an invariant of the
-    link up to mirror, any presentation of the target link would have
-    matched, and the index exceeds n_max.  A found witness only matches the
-    profile, so it is no stronger than the profile oracle.
+    Only irreducible candidates with the target's component count and at
+    least ``crossing_floor(target)`` crossings are profiled; no
+    presentation of the target link or its mirror falls below that floor
+    (see there).  A reducible presentation has a short arc (i, i + 1), or
+    (1, n), on a page X that holds another arc, and the other arcs at its
+    ends are two different arcs (a, i) and (i + 1, b) of one page Y.  The
+    binding segment between i and i + 1 meets no other arc, so the short
+    arc can be pushed across it into Y, where the three arcs become one
+    arc (a, b) (Dynnikov, "Three-page approach to knot theory. Encoding and
+    local moves", Funct. Anal. Appl. 33, 1999).  The arc (a, b) crosses no
+    arc of Y, since the three arcs formed one curve in Y, and X and Y keep
+    an arc each, so this is a presentation of the same link on n - 2 >= 3
+    points.  For (1, n), a cyclic rotation of the points, which keeps
+    every page non-crossing, makes the arc short first.  If the two arcs
+    were one, the pair would be a split unknot; merging would lose a
+    component, so that pair is left in the search.  Reducibility is the
+    same for every symmetry image, so the canonical representative stands
+    for its orbit.
+
+    By induction on n, the search therefore stops at n or before for any
+    presentation on n <= n_max points whose profile matches the target.
+    Such a presentation has the target's component count and, as a
+    diagram of a link with that profile, at least the floor of crossings.
+    If it is irreducible, its canonical image is profiled and matches.  If
+    not, it merges into a presentation of the same link on n - 2 points,
+    whose profile matches too.  So a not-found result is unconditional: a
+    presentation of the target link or its mirror would match, since the
+    profile is an invariant of the link up to mirror, and the index
+    exceeds n_max.  And no match on the n found can merge, or the search
+    would have stopped at n - 2.  So the rule skips no match there, and the
+    witness, the first match in stream order, is the one the search finds
+    without the rule.  A found witness only matches the profile, so it is
+    no stronger than the profile oracle.
     """
     floor = crossing_floor(target)
     profiled = 0
     for n in range(3, n_max + 1):
         constraints = SearchConstraints(
-            n, required_components=target.component_count, min_crossings=floor)
+            n, required_components=target.component_count, min_crossings=floor,
+            irreducible=True)
         for pres in enumerate_presentations(constraints):
             profiled += 1
             if equal_up_to_mirror(profile(pres), target):

@@ -6,17 +6,19 @@ import pytest
 from threepage.braids import parse_word
 from threepage.diagram import braid_closure_diagram, project
 from threepage.invariants import profile, equal_up_to_mirror
-from threepage.presentation import (components, detect_split_pair,
-                                    is_canonical, validate)
+from threepage.presentation import (InvalidPresentationError, PlacedArc,
+                                    components, detect_split_pair,
+                                    is_canonical, parse, validate)
 from threepage.search import (SearchConstraints, _component_count, census,
                               crossing_floor, enumerate_presentations,
                               interleaving_table, noncrossing_matchings,
                               three_page_index)
 from threepage.torus import HOPF, UNKNOT_TRIANGLE, closure_profile
 
-from util import (canonicalize, insert_kink, naive_noncrossing_matchings,
-                  naive_valid_presentations, reference_filter, reference_index,
-                  reference_presentations, trivial_profile)
+from util import (canonicalize, insert_kink, merge_short_arc,
+                  naive_noncrossing_matchings, naive_valid_presentations,
+                  reducible, reference_filter, reference_index,
+                  reference_presentations, short_arc_merges, trivial_profile)
 
 #: canonical presentations on n points, n = 3..9
 GOLDEN_COUNTS = {3: 2, 4: 10, 5: 44, 6: 294, 7: 1964, 8: 14636, 9: 112912}
@@ -158,6 +160,68 @@ def test_floor_stream_filters_the_stream_past_the_reference():
     assert page1s == [118, 88, 40, 15, 1, 0]
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_irreducible_stream_filters_the_stream(n):
+    # the rule runs at the prefix and at the leaf; the oracle tests each
+    # short arc of each presentation on its own
+    for kw in ({}, {"required_components": 1, "min_crossings": 3},
+               {"required_components": 2}):
+        full = _all(n, **kw)
+        want = [pres for pres in full if not reducible(n, pres.pages)]
+        assert _all(n, irreducible=True, **kw) == want, kw
+
+
+def test_merged_presentations_keep_the_profile():
+    # every short arc the rule merges away, on every canonical presentation
+    # up to n = 7, leaves a valid presentation on n - 2 points (built by
+    # ThreePagePresentation.of) with the same profile, not only up to mirror
+    presentations = merges = 0
+    for n in range(3, 8):
+        for pres in _all(n):
+            arcs = short_arc_merges(n, pres.pages)
+            presentations += bool(arcs)
+            for placed in arcs:
+                merged = merge_short_arc(pres, placed)
+                assert merged.n == n - 2
+                assert profile(merged) == profile(pres), (pres, placed)
+                merges += 1
+    assert (presentations, merges) == (1501, 2582)
+
+
+def test_irreducible_rule_keeps_a_single_arc_page():
+    # the only arc of P1 is short and its ends meet two different arcs of
+    # P3, but merging it would leave P1 empty
+    pres = parse("n=4; P1:1-2; P2:3-4; P3:1-4,2-3")
+    assert pres in _all(4, irreducible=True)
+    assert not reducible(4, pres.pages)
+    with pytest.raises(InvalidPresentationError, match="P1 holds no arcs"):
+        merge_short_arc(pres, PlacedArc(0, (1, 2)))
+
+
+def test_irreducible_rule_keeps_a_two_arc_component():
+    # both ends of the short arc 1-2 of P3 meet the one arc 1-2 of P1: a
+    # split unknot, which a merge would lose; the 2-component unlink needs
+    # two of them at its index, 4
+    pres = parse("n=4; P1:1-2; P2:3-4; P3:1-2,3-4")
+    assert pres in _all(4, irreducible=True)
+    assert not reducible(4, pres.pages)
+    assert three_page_index(trivial_profile(2), 4).witness == pres
+    with pytest.raises(ValueError, match="two-arc component"):
+        merge_short_arc(pres, PlacedArc(2, (1, 2)))
+
+
+def test_irreducible_rule_merges_the_arc_from_1_to_n():
+    # 1 and n are adjacent on the binding circle: the only arc that merges
+    # is 1-5 of P3, whose ends meet the arcs 1-2 and 3-5 of P1
+    pres = parse("n=5; P1:1-2,3-5; P2:2-4; P3:1-5,3-4")
+    assert short_arc_merges(5, pres.pages) == [PlacedArc(2, (1, 5))]
+    assert pres in _all(5)
+    assert pres not in _all(5, irreducible=True)
+    merged = merge_short_arc(pres, PlacedArc(2, (1, 5)))
+    assert str(merged) == "n=3; P1:1-2; P2:1-3; P3:2-3"
+    assert profile(merged) == profile(pres)
+
+
 def test_interleaving_count_and_floor_against_the_projection():
     # the enumerator's integer crossing count is the projection's, and the
     # floor of a presentation's own profile never exceeds it (the floor is
@@ -241,17 +305,17 @@ def test_trefoil_absent_through_seven_points():
 
 @pytest.mark.parametrize("target, n_max, profiled, reference_profiled", [
     (trivial_profile(1), 4, 1, 1),
-    (profile(HOPF), 6, 3, 114),
-    (closure_profile(2, 3), 8, 169, 6398),
-    (closure_profile(2, 4), 9, 315, 46284),
+    (profile(HOPF), 6, 1, 114),
+    (closure_profile(2, 3), 8, 14, 6398),
+    (closure_profile(2, 4), 9, 81, 46284),
     (closure_profile(2, 3), 5, 0, 37),
     (trivial_profile(2), 6, 1, 1),
 ], ids=["unknot", "hopf", "trefoil", "t24", "trefoil-below-index", "unlink2"])
 def test_crossing_floor_changes_the_work_not_the_result(
         target, n_max, profiled, reference_profiled):
-    # the floor-free reference loop profiles every candidate; the search
-    # must find the same index and witness, or the same nothing, and print
-    # it as before, without the count
+    # the reference loop profiles every candidate, without the floor or the
+    # irreducible rule; the search must find the same index and witness, or
+    # the same nothing, and print it as before, without the count
     res = three_page_index(target, n_max)
     n, witness, ref_count = reference_index(target, n_max)
     assert (res.n, res.witness, res.found) == (n, witness, n is not None)

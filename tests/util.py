@@ -6,15 +6,17 @@ crossing signs come from semicircle calculus, the bracket from a sum over
 all 2^c smoothing states, enumeration counts from a naive
 generate-and-filter pass, the enumeration stream from a reference pass that
 validates and canonicalizes every candidate, index searches from a loop
-that profiles every candidate without the crossing floor, and braid
-equality from the action on a free group.
+that profiles every candidate without the crossing floor, the
+irreducible rule from a test of each short arc, and braid equality from
+the action on a free group.
 
 The helpers build test inputs and read results from the library's own
 machinery; nothing in the package calls them: the well-formedness check of
 a diagram, the points and arcs of a component walk, the Jones polynomial of
 one orientation, disjoint unions of diagrams, orientations given as point
-cycles, kink insertion, component deletion, point reversal, the canonical
-orbit member, the unlink profile and the zero polynomial.
+cycles, kink insertion, short-arc merges, component deletion, point
+reversal, the canonical orbit member, the unlink profile and the zero
+polynomial.
 """
 
 from __future__ import annotations
@@ -157,6 +159,69 @@ def reference_index(target: InvariantProfile, n_max: int
             if equal_up_to_mirror(profile(pres), target):
                 return n, pres, profiled
     return None, None, profiled
+
+
+def short_arc_merges(n: int, pages) -> list[PlacedArc]:
+    """The arcs that the irreducible rule merges away, found arc by arc: a
+    short arc (i, i + 1) or (1, n) on a page holding another arc, whose two
+    ends meet two different arcs of one other page."""
+    at: dict[int, list[PlacedArc]] = {pt: [] for pt in range(1, n + 1)}
+    for page, arcs in enumerate(pages):
+        for arc in arcs:
+            for pt in arc:
+                at[pt].append(PlacedArc(page, arc))
+    out = []
+    for page, arcs in enumerate(pages):
+        for i, j in arcs:
+            if len(arcs) < 2 or j - i not in (1, n - 1):
+                continue
+            placed = PlacedArc(page, (i, j))
+            (at_i,) = [pa for pa in at[i] if pa != placed]
+            (at_j,) = [pa for pa in at[j] if pa != placed]
+            if at_i.page == at_j.page and at_i != at_j:
+                out.append(placed)
+    return out
+
+
+def reducible(n: int, pages) -> bool:
+    """Whether the irreducible rule skips the presentation with these pages."""
+    return bool(short_arc_merges(n, pages))
+
+
+def merge_short_arc(p: ThreePagePresentation, placed: PlacedArc) -> ThreePagePresentation:
+    """Push the short arc ``placed`` across the binding segment between its
+    ends into the page of the other arcs there, joining the three arcs into
+    one and dropping its two points: the same link on n - 2 points.  The arc
+    (1, n) is first made (1, 2) by rotating the points, i -> i % n + 1.
+    The result is built and checked by ``ThreePagePresentation.of``."""
+    n = p.n
+    page, (i, j) = placed
+    if placed not in set(p.placed_arcs()):
+        raise ValueError(f"{placed} not present")
+    if j != i + 1:
+        if (i, j) != (1, n):
+            raise ValueError(f"{placed} is not a short arc")
+        rotated = ThreePagePresentation.of(
+            n, *[[(a % n + 1, b % n + 1) for a, b in pg] for pg in p.pages])
+        return merge_short_arc(rotated, PlacedArc(page, (1, 2)))
+    (y, arc_i), (y_j, arc_j) = (
+        next(pa for pa in p.placed_arcs() if pt in pa.arc and pa != placed)
+        for pt in (i, j))
+    if y != y_j:
+        raise ValueError(f"the arcs at the ends of {placed} lie on two pages")
+    if arc_i == arc_j:
+        raise ValueError(f"{placed} and {arc_i} form a two-arc component")
+    a, b = sum(arc_i) - i, sum(arc_j) - j
+    pages: list[list[Arc]] = [[], [], []]
+    for pa in p.placed_arcs():
+        if pa not in (placed, (y, arc_i), (y, arc_j)):
+            pages[pa.page].append(pa.arc)
+    pages[y].append((a, b))
+
+    def renumber(x: int) -> int:
+        return x - 2 if x > j else x
+    return ThreePagePresentation.of(
+        n - 2, *[[(renumber(x), renumber(z)) for x, z in pg] for pg in pages])
 
 
 def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
