@@ -45,11 +45,13 @@ class SearchConstraints:
     P1/P3 interleavings before any diagram is built; ``three_page_index``
     sets it to ``crossing_floor`` of its target, which says why that is
     sound.  ``irreducible`` discards presentations that merge into one on
-    n - 2 points: a short arc (two points adjacent on the binding circle,
-    so (1, n) counts too) on a page that holds another arc, whose ends
-    meet two different arcs of one other page.  Only ``three_page_index``
-    sets it, and says why that is sound.  ``enumerate_presentations`` says
-    where each rule runs.
+    fewer points.  A two-point merge takes a short arc (two points adjacent
+    on the binding circle, so (1, n) counts too) on a page that holds
+    another arc, whose ends meet two different arcs of one other page.  A
+    one-point merge takes an arc (i, b) on a page Z that holds another arc,
+    where a page Y covers i but not b and (i, b) crosses no arc of Y.
+    Only ``three_page_index`` sets it, and says why that is sound.
+    ``enumerate_presentations`` says where each rule runs.
     """
 
     n: int
@@ -123,6 +125,36 @@ def interleaving_table(n: int, page: Sequence[Arc]) -> list[list[int]]:
     return table
 
 
+def _clear_chords(n: int, page: Sequence[Arc]) -> int:
+    """Bit u * (n + 1) + v for each chord from a point u that page covers to
+    a point v that it leaves free, if the chord crosses no arc of page.
+
+    The arcs cut the half-plane into disk regions, and two points lie on a
+    common region exactly when their chord crosses no arc.  A free point
+    lies on one region, a covered one on the regions inside and around its
+    arc.  One walk along the points, with a stack of the regions open
+    there, finds them."""
+    other = [0] * (n + 1)
+    for i, j in page:
+        other[i], other[j] = j, i
+    free = [0]  # the mask of the free points on each region, 0 the outer one
+    open_regions = [0]
+    sides = []  # each covered point with the regions inside and around its arc
+    for x in range(1, n + 1):
+        y = other[x]
+        if not y:
+            free[open_regions[-1]] |= 1 << x
+        elif y > x:  # x opens the region inside its arc
+            sides.append((x, len(free), open_regions[-1]))
+            open_regions.append(len(free))
+            free.append(0)
+        else:
+            inside = open_regions.pop()
+            sides.append((x, inside, open_regions[-1]))
+    return sum((free[inside] | free[around]) << x * (n + 1)
+               for x, inside, around in sides)
+
+
 def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
     """Canonical valid presentations on c.n points satisfying c, exactly one
     per symmetry orbit, in deterministic order.
@@ -135,11 +167,12 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     ``min_crossings``, a maximum kept per page 1 and cover.  Page 3 runs
     only over the matchings of its cover that close exactly the missing
     components, kept per pairing of the path ends pages 1 and 2 leave.
-    The irreducible rule cuts a prefix when a short arc of page 1 merges
-    into page 2 or one of page 2 into page 1, whatever page 3 is.  Each
-    leaf then meets the split-pair rule, the rest of the irreducible rule
-    (a short arc of page 1 or 2 merging into page 3, or one of page 3 into
-    page 1 or 2), the floor and the orbit test.
+    The irreducible rule cuts a prefix when an arc of page 1 merges into
+    page 2 or one of page 2 into page 1, whatever page 3 is: a short arc
+    across its binding segment, or an arc swung about one end.  Each leaf
+    then meets the split-pair rule, the rest of the irreducible rule (an
+    arc of page 1 or 2 merging into page 3, or one of page 3 into page 1
+    or 2), the floor and the orbit test.
     """
     n = c.n
     min_page = c.min_arcs_per_page or 1
@@ -147,27 +180,34 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     irreducible = c.irreducible
     # One page table: every non-crossing matching of 1..n in generation
     # order, with its point reversal, the bitmask of the points it covers
-    # and, under the irreducible rule, two bitmasks over the n adjacent
-    # pairs of the binding circle, bit i for (i, i + 1) and bit 0 for
-    # (n, 1).  ``merge`` holds its short arcs if it has another arc;
-    # ``free`` holds the pairs whose points it covers with two different
-    # arcs.  A short arc of one page merges into another page when its bit
-    # is in the merge mask of the one and the free mask of the other.
-    # Pages 1 and 2 run over the table; page 2 must cover the points page 1
-    # leaves free.  Page 3 is a perfect matching of the points covered
-    # once, so it is looked up by that cover.  Filtering the table keeps
-    # the order in which the matchings of those points would be generated.
+    # and, under the irreducible rule, two masks of merge sites.  A merge
+    # moves an arc out of one page into another, so it needs a bit in the
+    # ``give`` mask of the one and in the ``take`` mask of the other.  Bits
+    # 0..n-1 are the n adjacent pairs of the binding circle, bit i for
+    # (i, i + 1) and bit 0 for (n, 1): ``give`` holds a page's short arcs if
+    # it has another arc, ``take`` the pairs it covers with two different
+    # arcs.  Bit u * (n + 1) + v is the chord from u to v: ``give`` holds a
+    # page's arcs, both ways round, if it has another arc, ``take`` the
+    # chords from a point it covers to one it leaves free that cross none
+    # of its arcs (``_clear_chords``).  Pages 1 and 2 run over the table;
+    # page 2 must cover the points page 1 leaves free.  Page 3 is a perfect
+    # matching of the points covered once, so it is looked up by that
+    # cover.  Filtering the table keeps the order in which the matchings of
+    # those points would be generated.
     table = []
     by_cover: dict[int, list] = {}
     for m in noncrossing_matchings(range(1, n + 1)):
         cover = sum(1 << i | 1 << j for i, j in m)
-        merge = free = 0
+        give = take = 0
         if irreducible:
             short = sum(1 << (i if j == i + 1 else 0) for i, j in m
                         if j - i in (1, n - 1))
             pairs = (cover & cover >> 1) | (cover >> n & cover >> 1 & 1)
-            merge, free = short if len(m) > 1 else 0, pairs & ~short
-        entry = (m, flip_page(n, m), cover, merge, free)
+            if len(m) > 1:
+                give = short | sum(1 << i * (n + 1) + j | 1 << j * (n + 1) + i
+                                   for i, j in m)
+            take = pairs & ~short | _clear_chords(n, m)
+        entry = (m, flip_page(n, m), cover, give, take)
         table.append(entry)
         by_cover.setdefault(cover, []).append(entry)
     every_point = (1 << n + 1) - 2
@@ -175,7 +215,7 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     # components still to close -> the page-3 candidates closing that many
     width = n.bit_length()
     closing: dict[int, list] = {}
-    for m1, f1, used1, merge1, free1 in table:
+    for m1, f1, used1, give1, take1 in table:
         if not min_page <= len(m1) <= n - 2 * min_page:
             continue
         if f1 < m1:
@@ -184,7 +224,7 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
             crossings = interleaving_table(n, m1)
             best: dict[int, int] = {}  # cover -> most crossings of a page 3
         ends1 = {k: v for i, j in m1 for k, v in ((i, j), (j, i))}
-        for m2, f2, used2, merge2, free2 in table:
+        for m2, f2, used2, give2, take2 in table:
             if used1 | used2 != every_point:
                 continue
             if not min_page <= len(m2) <= n - len(m1) - min_page:
@@ -192,9 +232,9 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
             if m2 < m1 or f2 < m1:
                 continue
             if irreducible:
-                if merge1 & free2 or merge2 & free1:
+                if give1 & take2 or give2 & take1:
                     continue
-                merge12, free12 = merge1 | merge2, free1 | free2
+                give12, take12 = give1 | give2, take1 | take2
             cover = used1 ^ used2
             page3 = by_cover[cover]
             if floor:
@@ -213,10 +253,10 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
                     closing[key] = [p for p in page3
                                     if _join(dict(ends), p[0]) == missing]
                 page3 = closing[key]
-            for m3, f3, _, merge3, free3 in page3:
+            for m3, f3, _, give3, take3 in page3:
                 if c.prune_split_pairs and len({*m1, *m2, *m3}) < n:
                     continue
-                if irreducible and (merge12 & free3 or merge3 & free12):
+                if irreducible and (give12 & take3 or give3 & take12):
                     continue
                 if floor and sum(crossings[a][b] for a, b in m3) < floor:
                     continue
@@ -313,17 +353,34 @@ def three_page_index(target: InvariantProfile, n_max: int) -> IndexSearchResult:
     same for every symmetry image, so the canonical representative stands
     for its orbit.
 
+    A presentation is also reducible when a point i meets an arc (a, i) on
+    a page Y and an arc (i, b) on a page Z that holds another arc, where
+    a != b, the other arc at b is not on Y, and (i, b) crosses no arc of Y
+    (Dynnikov's one-point move, same reference).  Any two pages are
+    adjacent around the binding, so the sector between Y and Z holds no
+    arc, and (i, b) swings through it into Y without meeting anything.
+    There a-i-b is one curve that meets no other arc of Y, so it lies in
+    one disk region of Y, whose boundary holds a and b; lifting it off the
+    binding at i gives an arc (a, b) inside that region.  It crosses no
+    arc of Y and shares no end with one, since the other arcs at a and b
+    lie off Y.  Z keeps an arc, and so does Y, so this is a presentation of
+    the same link on n - 1 >= 3 points with three non-empty pages (Z holds
+    two arcs and the other pages one each, so n >= 4).  These conditions
+    too are the same for every symmetry image.
+
     By induction on n, the search therefore stops at n or before for any
     presentation on n <= n_max points whose profile matches the target.
     Such a presentation has the target's component count and, as a
     diagram of a link with that profile, at least the floor of crossings.
     If it is irreducible, its canonical image is profiled and matches.  If
-    not, it merges into a presentation of the same link on n - 2 points,
-    whose profile matches too.  So a not-found result is unconditional: a
+    not, it merges into a presentation of the same link on n - 2 or n - 1
+    points.  That one has the target's component count and at least the
+    floor of crossings too, both being properties of the link, and its
+    profile matches.  So a not-found result is unconditional: a
     presentation of the target link or its mirror would match, since the
     profile is an invariant of the link up to mirror, and the index
     exceeds n_max.  And no match on the n found can merge, or the search
-    would have stopped at n - 2.  So the rule skips no match there, and the
+    would have stopped before n.  So the rule skips no match there, and the
     witness, the first match in stream order, is the one the search finds
     without the rule.  A found witness only matches the profile, so it is
     no stronger than the profile oracle.

@@ -13,12 +13,14 @@ from threepage.search import (SearchConstraints, _component_count, census,
                               crossing_floor, enumerate_presentations,
                               interleaving_table, noncrossing_matchings,
                               three_page_index)
-from threepage.torus import HOPF, UNKNOT_TRIANGLE, closure_profile
+from threepage.torus import (HOPF, UNKNOT_TRIANGLE, closure_profile, tnn, tpq,
+                             tpq_tight)
 
-from util import (canonicalize, insert_kink, merge_short_arc,
+from util import (canonicalize, insert_kink, merge_one_point, merge_short_arc,
                   naive_noncrossing_matchings, naive_valid_presentations,
-                  reducible, reference_filter, reference_index,
-                  reference_presentations, short_arc_merges, trivial_profile)
+                  one_point_merges, reducible, reference_filter,
+                  reference_index, reference_presentations, short_arc_merges,
+                  trivial_profile)
 
 #: canonical presentations on n points, n = 3..9
 GOLDEN_COUNTS = {3: 2, 4: 10, 5: 44, 6: 294, 7: 1964, 8: 14636, 9: 112912}
@@ -163,7 +165,7 @@ def test_floor_stream_filters_the_stream_past_the_reference():
 @pytest.mark.parametrize("n", range(3, 10))
 def test_irreducible_stream_filters_the_stream(n):
     # the rule runs at the prefix and at the leaf; the oracle tests each
-    # short arc of each presentation on its own
+    # short arc, and each arc at each of its ends, on its own
     for kw in ({}, {"required_components": 1, "min_crossings": 3},
                {"required_components": 2}):
         full = _all(n, **kw)
@@ -188,14 +190,81 @@ def test_merged_presentations_keep_the_profile():
     assert (presentations, merges) == (1501, 2582)
 
 
+def test_one_point_merges_keep_the_profile():
+    # every one-point merge of every canonical presentation up to n = 7
+    # leaves a valid presentation on n - 1 points (built by
+    # ThreePagePresentation.of) with the same profile, not only up to mirror
+    presentations = merges = 0
+    for n in range(3, 8):
+        for pres in _all(n):
+            sites = one_point_merges(n, pres.pages)
+            presentations += bool(sites)
+            if sites:
+                prof = profile(pres)
+            for i, placed in sites:
+                merged = merge_one_point(pres, i, placed)
+                assert merged.n == n - 1
+                assert profile(merged) == prof, (pres, i, placed)
+                merges += 1
+    assert (presentations, merges) == (2259, 12076)
+
+
 def test_irreducible_rule_keeps_a_single_arc_page():
     # the only arc of P1 is short and its ends meet two different arcs of
-    # P3, but merging it would leave P1 empty
+    # P3, but merging it would leave P1 empty; the presentation still
+    # leaves the stream, since at point 1 the arc 1-4 of P3 swings into
+    # P1, where 2-1-4 becomes one arc: the unknot on 3 points
     pres = parse("n=4; P1:1-2; P2:3-4; P3:1-4,2-3")
-    assert pres in _all(4, irreducible=True)
-    assert not reducible(4, pres.pages)
+    assert short_arc_merges(4, pres.pages) == []
     with pytest.raises(InvalidPresentationError, match="P1 holds no arcs"):
         merge_short_arc(pres, PlacedArc(0, (1, 2)))
+    assert (1, PlacedArc(2, (1, 4))) in one_point_merges(4, pres.pages)
+    merged = merge_one_point(pres, 1, PlacedArc(2, (1, 4)))
+    assert str(merged) == "n=3; P1:1-3; P2:2-3; P3:1-2"
+    assert profile(merged) == profile(pres) == trivial_profile(1)
+    assert pres in _all(4) and pres not in _all(4, irreducible=True)
+
+
+@pytest.mark.parametrize("text, i, placed, guard", [
+    ("n=3; P1:1-2; P2:2-3; P3:1-3", 1, PlacedArc(0, (1, 2)),
+     "only arc of P1"),
+    ("n=5; P1:1-2; P2:2-3,4-5; P3:1-5,3-4", 4, PlacedArc(1, (4, 5)),
+     "other arc at 5 lies on P3"),
+    ("n=6; P1:1-3,4-6; P2:2-6,3-5; P3:1-5,2-4", 1, PlacedArc(0, (1, 3)),
+     r"\(1, 3\) crosses \(2, 4\) of P3"),
+], ids=["single-arc-page", "b-on-the-same-page", "crossing"])
+def test_one_point_rule_guards(text, i, placed, guard):
+    # each site fails exactly one guard of the one-point merge: the
+    # triangle's lone P1 arc, an arc whose far end meets the page it would
+    # join, and the Hopf link's 1-3 of P1, which crosses 2-4 of P3; the
+    # guard a != b is in the two-arc-component test
+    pres = parse(text)
+    assert (i, placed) not in one_point_merges(pres.n, pres.pages)
+    with pytest.raises(ValueError, match=guard):
+        merge_one_point(pres, i, placed)
+
+
+@pytest.mark.parametrize("pres", [
+    tpq(2, 3), tpq_tight(2, 5), tpq_tight(2, 6), tpq(3, 4), tnn(3), tnn(4),
+    tpq(3, 5), tpq_tight(2, 7), tpq(4, 5),
+    parse("n=8; P1:1-3,4-8,5-7; P2:2-7,3-6; P3:1-5,2-4,6-8"),
+    parse("n=9; P1:1-3,4-9,5-8; P2:2-8,3-7,4-6; P3:1-6,2-5,7-9"),
+    parse("n=11; P1:1-3,5-11,6-9; P2:2-11,3-7,4-6,8-10; P3:1-10,2-9,4-8,5-7"),
+    parse("n=11; P1:1-3,5-11,6-10,7-9; P2:2-11,3-10,4-9,5-8; P3:1-8,2-7,4-6"),
+    parse("n=12; P1:1-3,5-12,6-11,7-9; P2:2-11,3-10,4-9,5-8; "
+          "P3:1-8,2-7,4-6,10-12"),
+    parse("n=12; P1:1-3,5-12,6-10,7-9; P2:2-12,3-7,4-6,8-11; "
+          "P3:1-11,2-10,4-9,5-8"),
+    parse("n=13; P1:1-3,5-13,6-9,10-12; P2:2-13,3-12,4-8,5-7,9-11; "
+          "P3:1-11,2-7,4-6,8-10"),
+], ids=["tpq23", "tpq_tight25", "tpq_tight26", "tpq34", "tnn3", "tnn4",
+        "tpq35", "tpq_tight27", "tpq45", "trefoil", "t24", "4_1", "t25",
+        "t26", "5_2", "whitehead"])
+def test_constructors_and_witnesses_are_irreducible(pres):
+    # the paper's constructions and the index witnesses the search finds
+    # (trefoil 8, T(2,4) 9, figure-eight 11, T(2,5) 11, T(2,6) 12, 5_2 12,
+    # Whitehead 13) admit neither merge
+    assert not reducible(pres.n, pres.pages)
 
 
 def test_irreducible_rule_keeps_a_two_arc_component():
@@ -208,6 +277,10 @@ def test_irreducible_rule_keeps_a_two_arc_component():
     assert three_page_index(trivial_profile(2), 4).witness == pres
     with pytest.raises(ValueError, match="two-arc component"):
         merge_short_arc(pres, PlacedArc(2, (1, 2)))
+    # nor may 1-2 of P3 swing about point 1 into P1: there a = b = 2
+    assert (1, PlacedArc(2, (1, 2))) not in one_point_merges(4, pres.pages)
+    with pytest.raises(ValueError, match="two-arc component"):
+        merge_one_point(pres, 1, PlacedArc(2, (1, 2)))
 
 
 def test_irreducible_rule_merges_the_arc_from_1_to_n():
@@ -303,11 +376,23 @@ def test_trefoil_absent_through_seven_points():
     assert not res.found
 
 
+@pytest.mark.parametrize("word, strands, profiled", [
+    ("s1 -s2 s1 -s2", 3, 39),
+    ("s1 s1 s1 s1 s1", 2, 19),
+], ids=["figure-eight", "t25"])
+def test_index_exceeds_ten_for_the_figure_eight_and_t25(word, strands, profiled):
+    # an unconditional lower bound: both indices are 11, where CI finds the
+    # witnesses; the merge rules leave only a few dozen candidates to profile
+    target = profile(braid_closure_diagram(parse_word(word, strands)))
+    res = three_page_index(target, 10)
+    assert (str(res), res.profiled) == ("not found for n <= 10", profiled)
+
+
 @pytest.mark.parametrize("target, n_max, profiled, reference_profiled", [
     (trivial_profile(1), 4, 1, 1),
     (profile(HOPF), 6, 1, 114),
-    (closure_profile(2, 3), 8, 14, 6398),
-    (closure_profile(2, 4), 9, 81, 46284),
+    (closure_profile(2, 3), 8, 1, 6398),
+    (closure_profile(2, 4), 9, 7, 46284),
     (closure_profile(2, 3), 5, 0, 37),
     (trivial_profile(2), 6, 1, 1),
 ], ids=["unknot", "hopf", "trefoil", "t24", "trefoil-below-index", "unlink2"])

@@ -6,17 +6,17 @@ crossing signs come from semicircle calculus, the bracket from a sum over
 all 2^c smoothing states, enumeration counts from a naive
 generate-and-filter pass, the enumeration stream from a reference pass that
 validates and canonicalizes every candidate, index searches from a loop
-that profiles every candidate without the crossing floor, the
-irreducible rule from a test of each short arc, and braid equality from
-the action on a free group.
+that profiles every candidate without the crossing floor, the irreducible
+rule from a test of each short arc and of each arc at each of its ends,
+and braid equality from the action on a free group.
 
 The helpers build test inputs and read results from the library's own
 machinery; nothing in the package calls them: the well-formedness check of
 a diagram, the points and arcs of a component walk, the Jones polynomial of
 one orientation, disjoint unions of diagrams, orientations given as point
-cycles, kink insertion, short-arc merges, component deletion, point
-reversal, the canonical orbit member, the unlink profile and the zero
-polynomial.
+cycles, kink insertion, short-arc and one-point merges, component
+deletion, point reversal, the canonical orbit member, the unlink profile and
+the zero polynomial.
 """
 
 from __future__ import annotations
@@ -183,9 +183,64 @@ def short_arc_merges(n: int, pages) -> list[PlacedArc]:
     return out
 
 
+def _one_point_obstacle(pages, i: int, z: int) -> Optional[str]:
+    """Why the arc at point i on page z does not swing into the page of the
+    other arc at i, or None if it does (see ``one_point_merges``)."""
+    (arc_z,) = [arc for arc in pages[z] if i in arc]
+    ((y, arc_y),) = [(page, arc) for page, arcs in enumerate(pages)
+                     for arc in arcs if i in arc and page != z]
+    a, b = sum(arc_y) - i, sum(arc_z) - i
+    if a == b:
+        return f"{arc_y} and {arc_z} form a two-arc component"
+    if any(b in arc for arc in pages[y]):
+        return f"the other arc at {b} lies on P{y + 1}"
+    crossed = [arc for arc in pages[y] if arcs_interleave(arc_z, arc)]
+    if crossed:
+        return f"{arc_z} crosses {crossed[0]} of P{y + 1}"
+    if len(pages[z]) < 2:
+        return f"{arc_z} is the only arc of P{z + 1}"
+    return None
+
+
+def one_point_merges(n: int, pages) -> list[tuple[int, PlacedArc]]:
+    """The one-point merges, found arc by arc: (i, the placed arc (i, b))
+    for each point i whose arcs (a, i) on page Y and (i, b) on page Z have
+    a != b, b's other arc not on Y, (i, b) crossing no arc of Y, and Z
+    holding another arc (arcs in normal form, so (i, b) may be (b, i))."""
+    return [(i, PlacedArc(z, arc)) for z, arcs in enumerate(pages)
+            for arc in arcs for i in arc
+            if _one_point_obstacle(pages, i, z) is None]
+
+
 def reducible(n: int, pages) -> bool:
     """Whether the irreducible rule skips the presentation with these pages."""
-    return bool(short_arc_merges(n, pages))
+    return bool(short_arc_merges(n, pages) or one_point_merges(n, pages))
+
+
+def merge_one_point(p: ThreePagePresentation, i: int, placed: PlacedArc
+                    ) -> ThreePagePresentation:
+    """Swing the arc (i, b) of ``placed`` through the empty sector between
+    its page Z and the page Y of the other arc (a, i) at i, then lift a-i-b
+    off the binding as one arc (a, b) of Y, dropping point i: the same link
+    on n - 1 points.  Raises ValueError if a guard of ``one_point_merges``
+    fails.  The result is built and checked by ``ThreePagePresentation.of``."""
+    z, arc_z = placed
+    if placed not in set(p.placed_arcs()) or i not in arc_z:
+        raise ValueError(f"{placed} not present at point {i}")
+    obstacle = _one_point_obstacle(p.pages, i, z)
+    if obstacle:
+        raise ValueError(obstacle)
+    ((y, arc_y),) = [pa for pa in p.placed_arcs() if i in pa.arc and pa != placed]
+    pages: list[list[Arc]] = [[], [], []]
+    for pa in p.placed_arcs():
+        if pa not in (placed, (y, arc_y)):
+            pages[pa.page].append(pa.arc)
+    pages[y].append((sum(arc_y) - i, sum(arc_z) - i))
+
+    def renumber(x: int) -> int:
+        return x - 1 if x > i else x
+    return ThreePagePresentation.of(
+        p.n - 1, *[[(renumber(x), renumber(w)) for x, w in pg] for pg in pages])
 
 
 def merge_short_arc(p: ThreePagePresentation, placed: PlacedArc) -> ThreePagePresentation:
