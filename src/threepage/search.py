@@ -22,6 +22,7 @@ search limit before it starts a search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .diagram import abs_linking_multiset, project
@@ -89,14 +90,14 @@ def noncrossing_matchings(points: Sequence[int]) -> Iterator[tuple[Arc, ...]]:
                 yield (arc,) + m_in + m_out
 
 
-def _join(ends: dict[int, int], page: Sequence[Arc]) -> int:
+def _join(ends: list[int], page: Sequence[Arc]) -> int:
     """Join the arcs of page onto the paths built so far, updating in place
-    ``ends``, which maps each end of a path to its other end (a point not yet
-    reached is a path of its own).  Return the number of components closed,
-    that is of arcs joining the two ends of one path."""
+    ``ends``: ends[x] is the other end of the path ending at x, or x itself
+    before any arc meets x (after two arcs it is never read again).  Return
+    the number of components closed, by arcs joining two ends of one path."""
     count = 0
     for i, j in page:
-        a, b = ends.pop(i, i), ends.pop(j, j)
+        a, b = ends[i], ends[j]
         if a == j:
             count += 1
         else:
@@ -106,7 +107,7 @@ def _join(ends: dict[int, int], page: Sequence[Arc]) -> int:
 
 def _component_count(pages: Sequence[tuple[Arc, ...]]) -> int:
     """Number of link components of a valid presentation."""
-    ends: dict[int, int] = {}
+    ends = list(range(sum(map(len, pages)) + 1))  # n arcs on n points
     return sum(_join(ends, page) for page in pages)
 
 
@@ -162,26 +163,30 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     Every candidate is valid by construction: each page is a non-crossing
     matching, page 2 covers every point page 1 leaves free, and page 3 is a
     perfect matching of the points that still meet one arc.  The page-size
-    bounds leave page 3 with at least ``min_arcs_per_page`` arcs.  A
-    prefix (pages 1 and 2) is cut when no page 3 of its cover reaches
-    ``min_crossings``, a maximum kept per page 1 and cover.  Page 3 runs
-    only over the matchings of its cover that close exactly the missing
-    components, kept per pairing of the path ends pages 1 and 2 leave.
-    The irreducible rule cuts a prefix when an arc of page 1 merges into
+    bounds leave page 3 with at least ``min_arcs_per_page`` arcs.  Page 2
+    runs over an index, built once per cover of page 1, of the matchings
+    that cover the points page 1 leaves free within those bounds.  A prefix
+    (pages 1 and 2) is cut when the pages share an arc under the split-pair
+    rule, or under the irreducible rule when an arc of page 1 merges into
     page 2 or one of page 2 into page 1, whatever page 3 is: a short arc
-    across its binding segment, or an arc swung about one end.  Each leaf
-    then meets the split-pair rule, the rest of the irreducible rule (an
-    arc of page 1 or 2 merging into page 3, or one of page 3 into page 1
-    or 2), the floor and the orbit test.
+    across its binding segment, or an arc swung about one end.  Page 3 runs
+    over a list: the matchings of its cover that close exactly the missing
+    components, kept per pairing of the path ends pages 1 and 2 leave, and
+    of those the ones that reach ``min_crossings``, kept per page 1 and
+    pairing.  Each leaf then meets the rest of the split-pair rule (an arc
+    of page 3 on page 1 or 2), the rest of the irreducible rule (an arc of
+    page 1 or 2 merging into page 3, or one of page 3 into page 1 or 2) and
+    the orbit test.
     """
     n = c.n
     min_page = c.min_arcs_per_page or 1
     floor = c.min_crossings
-    irreducible = c.irreducible
+    split = c.prune_split_pairs
     # One page table: every non-crossing matching of 1..n in generation
-    # order, with its point reversal, the bitmask of the points it covers
-    # and, under the irreducible rule, two masks of merge sites.  A merge
-    # moves an arc out of one page into another, so it needs a bit in the
+    # order, with its point reversal, the bitmask of the points it covers,
+    # the bitmask of its arcs (bit i * (n + 1) + j for arc (i, j)) and two
+    # masks of merge sites, 0 without the irreducible rule.  A merge moves
+    # an arc out of one page into another, so it needs a bit in the
     # ``give`` mask of the one and in the ``take`` mask of the other.  Bits
     # 0..n-1 are the n adjacent pairs of the binding circle, bit i for
     # (i, i + 1) and bit 0 for (n, 1): ``give`` holds a page's short arcs if
@@ -189,76 +194,71 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     # arcs.  Bit u * (n + 1) + v is the chord from u to v: ``give`` holds a
     # page's arcs, both ways round, if it has another arc, ``take`` the
     # chords from a point it covers to one it leaves free that cross none
-    # of its arcs (``_clear_chords``).  Pages 1 and 2 run over the table;
-    # page 2 must cover the points page 1 leaves free.  Page 3 is a perfect
-    # matching of the points covered once, so it is looked up by that
-    # cover.  Filtering the table keeps the order in which the matchings of
-    # those points would be generated.
+    # of its arcs (``_clear_chords``).  Page 3 is a perfect matching of the
+    # points covered once, so it is looked up by that cover.  Filtering the
+    # table keeps the order in which the matchings would be generated.
     table = []
     by_cover: dict[int, list] = {}
     for m in noncrossing_matchings(range(1, n + 1)):
         cover = sum(1 << i | 1 << j for i, j in m)
+        arcs = sum(1 << i * (n + 1) + j for i, j in m)
         give = take = 0
-        if irreducible:
+        if c.irreducible:
             short = sum(1 << (i if j == i + 1 else 0) for i, j in m
                         if j - i in (1, n - 1))
             pairs = (cover & cover >> 1) | (cover >> n & cover >> 1 & 1)
             if len(m) > 1:
-                give = short | sum(1 << i * (n + 1) + j | 1 << j * (n + 1) + i
-                                   for i, j in m)
+                give = short | arcs | sum(1 << j * (n + 1) + i for i, j in m)
             take = pairs & ~short | _clear_chords(n, m)
-        entry = (m, flip_page(n, m), cover, give, take)
-        table.append(entry)
+        entry = (m, flip_page(n, m), cover, arcs, give, take)
         by_cover.setdefault(cover, []).append(entry)
-    every_point = (1 << n + 1) - 2
-    # pairing of path ends (end a's partner in bits (a + 1) * width on) and
-    # components still to close -> the page-3 candidates closing that many
-    width = n.bit_length()
-    closing: dict[int, list] = {}
-    for m1, f1, used1, give1, take1 in table:
-        if not min_page <= len(m1) <= n - 2 * min_page:
+        if min_page <= len(m) <= n - 2 * min_page:  # a page 1 or 2
+            table.append(entry)
+    partners = {x: itemgetter(*[i for i in range(n + 1) if x >> i & 1])
+                for x in by_cover if x}  # reads the path ends of cover x
+    page2: dict[int, list] = {}  # page 1's cover -> its page-2 candidates
+    # components still to close and the partner of each path end, in point
+    # order -> the page-3 candidates closing that many
+    closing: dict[tuple, list] = {}
+    for m1, f1, used1, arcs1, give1, take1 in table:
+        if f1 < m1 or not used1 & 2:  # else page 2 covers point 1: m2 < m1
             continue
-        if f1 < m1:
-            continue
+        if used1 not in page2:
+            free, most = ~used1 & (1 << n + 1) - 2, n - len(m1) - min_page
+            page2[used1] = [e for e in table
+                            if e[2] & free == free and len(e[0]) <= most]
         if floor:
             crossings = interleaving_table(n, m1)
-            best: dict[int, int] = {}  # cover -> most crossings of a page 3
-        ends1 = {k: v for i, j in m1 for k, v in ((i, j), (j, i))}
-        for m2, f2, used2, give2, take2 in table:
-            if used1 | used2 != every_point:
-                continue
-            if not min_page <= len(m2) <= n - len(m1) - min_page:
-                continue
+            reach: dict = {}  # key -> the listed page 3s that reach floor
+        ends1 = list(range(n + 1))
+        _join(ends1, m1)
+        for m2, f2, used2, arcs2, give2, take2 in page2[used1]:
             if m2 < m1 or f2 < m1:
                 continue
-            if irreducible:
-                if give1 & take2 or give2 & take1:
-                    continue
-                give12, take12 = give1 | give2, take1 | take2
-            cover = used1 ^ used2
+            if split and arcs1 & arcs2 or give1 & take2 or give2 & take1:
+                continue
+            give12, take12 = give1 | give2, take1 | take2
+            key = cover = used1 ^ used2
             page3 = by_cover[cover]
-            if floor:
-                if cover not in best:
-                    best[cover] = max(sum(crossings[a][b] for a, b in m3)
-                                      for m3, *_ in page3)
-                if best[cover] < floor:
-                    continue
             if c.required_components is not None:
-                ends = dict(ends1)
+                ends = ends1[:]
                 missing = c.required_components - _join(ends, m2)
                 if missing < 1:  # the last arc of page 3 closes one
                     continue
-                key = sum(b << a * width for a, b in ends.items()) << width | missing
+                key = (missing, partners[cover](ends))
                 if key not in closing:
                     closing[key] = [p for p in page3
-                                    if _join(dict(ends), p[0]) == missing]
+                                    if _join(ends[:], p[0]) == missing]
                 page3 = closing[key]
-            for m3, f3, _, give3, take3 in page3:
-                if c.prune_split_pairs and len({*m1, *m2, *m3}) < n:
+            if floor:
+                if key not in reach:
+                    reach[key] = [p for p in page3 if floor <= sum(
+                        crossings[a][b] for a, b in p[0])]
+                page3 = reach[key]
+            for m3, f3, _, arcs3, give3, take3 in page3:
+                if split and arcs3 & (arcs1 | arcs2):
                     continue
-                if irreducible and (give12 & take3 or give3 & take12):
-                    continue
-                if floor and sum(crossings[a][b] for a, b in m3) < floor:
+                if give12 & take3 or give3 & take12:
                     continue
                 pages = (m1, m2, m3)
                 if min(orbit_images(pages, (f1, f2, f3))) != pages:

@@ -165,9 +165,14 @@ def test_floor_stream_filters_the_stream_past_the_reference():
 @pytest.mark.parametrize("n", range(3, 10))
 def test_irreducible_stream_filters_the_stream(n):
     # the rule runs at the prefix and at the leaf; the oracle tests each
-    # short arc, and each arc at each of its ends, on its own
+    # short arc, and each arc at each of its ends, on its own.  Its prefix
+    # cut composes with the page-2 index (the page-size window) and the
+    # split-pair masks, so both run with it too
     for kw in ({}, {"required_components": 1, "min_crossings": 3},
-               {"required_components": 2}):
+               {"required_components": 2}, {"prune_split_pairs": True},
+               {"min_arcs_per_page": 2},
+               {"prune_split_pairs": True, "min_arcs_per_page": 2,
+                "required_components": 1, "min_crossings": 3}):
         full = _all(n, **kw)
         want = [pres for pres in full if not reducible(n, pres.pages)]
         assert _all(n, irreducible=True, **kw) == want, kw
@@ -349,8 +354,9 @@ def test_component_count_matches_the_walk():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_split_pair_pruning_is_sound(n):
-    # the enumerator drops a presentation at the leaf when its n arcs are
-    # not all distinct; detect_split_pair is the independent oracle
+    # the enumerator drops a presentation when its n arcs are not all
+    # distinct, testing arc masks at the prefix and at the leaf;
+    # detect_split_pair is the independent oracle
     full = _all(n)
     pruned = {p.sort_key() for p in _all(n, prune_split_pairs=True)}
     for pres in full:
