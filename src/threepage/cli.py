@@ -145,6 +145,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
             raise CliError("construct tnn requires --n", USAGE_ERROR)
         if args.p is not None or args.q is not None:
             raise CliError("construct tnn takes --n, not --p or --q", USAGE_ERROR)
+        if args.n < 2:
+            raise CliError(f"construct tnn needs --n >= 2, got {args.n}",
+                           DOMAIN_ERROR)
         p = q = args.n
     else:
         if args.p is None or args.q is None:

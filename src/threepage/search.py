@@ -126,6 +126,13 @@ def interleaving_table(n: int, page: Sequence[Arc]) -> list[list[int]]:
     return table
 
 
+def _crossing_count(pages: Sequence[Sequence[Arc]]) -> int:
+    """Crossing count of the projection (``project``): the interleavings of
+    page-1 arcs with page-3 arcs."""
+    return sum(i < k < j < l or k < i < l < j
+               for i, j in pages[0] for k, l in pages[2])
+
+
 def _clear_chords(n: int, page: Sequence[Arc]) -> int:
     """Bit u * (n + 1) + v for each chord from a point u that page covers to
     a point v that it leaves free, if the chord crosses no arc of page.
@@ -182,24 +189,30 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     min_page = c.min_arcs_per_page or 1
     floor = c.min_crossings
     split = c.prune_split_pairs
-    # One page table: every non-crossing matching of 1..n in generation
-    # order, with its point reversal, the bitmask of the points it covers,
-    # the bitmask of its arcs (bit i * (n + 1) + j for arc (i, j)) and two
-    # masks of merge sites, 0 without the irreducible rule.  A merge moves
-    # an arc out of one page into another, so it needs a bit in the
-    # ``give`` mask of the one and in the ``take`` mask of the other.  Bits
-    # 0..n-1 are the n adjacent pairs of the binding circle, bit i for
-    # (i, i + 1) and bit 0 for (n, 1): ``give`` holds a page's short arcs if
-    # it has another arc, ``take`` the pairs it covers with two different
-    # arcs.  Bit u * (n + 1) + v is the chord from u to v: ``give`` holds a
-    # page's arcs, both ways round, if it has another arc, ``take`` the
-    # chords from a point it covers to one it leaves free that cross none
-    # of its arcs (``_clear_chords``).  Page 3 is a perfect matching of the
-    # points covered once, so it is looked up by that cover.  Filtering the
-    # table keeps the order in which the matchings would be generated.
+    # One page table: every non-crossing matching of 1..n with between
+    # min_page and n - 2 * min_page arcs, in generation order.  All three
+    # pages lie in that window: pages 1 and 2 hold at least min_page arcs
+    # each, and the page-2 index leaves page 3, with n - |m1| - |m2| arcs,
+    # at least min_page.  An entry holds the matching, its point reversal,
+    # the bitmask of the points it covers, the bitmask of its arcs (bit
+    # i * (n + 1) + j for arc (i, j)) and two masks of merge sites, 0
+    # without the irreducible rule.  A merge moves an arc out of one page
+    # into another, so it needs a bit in the ``give`` mask of the one and
+    # in the ``take`` mask of the other.  Bits 0..n-1 are the n adjacent
+    # pairs of the binding circle, bit i for (i, i + 1) and bit 0 for
+    # (n, 1): ``give`` holds a page's short arcs if it has another arc,
+    # ``take`` the pairs it covers with two different arcs.  Bit
+    # u * (n + 1) + v is the chord from u to v: ``give`` holds a page's
+    # arcs, both ways round, if it has another arc, ``take`` the chords
+    # from a point it covers to one it leaves free that cross none of its
+    # arcs (``_clear_chords``).  Page 3 is a perfect matching of the points
+    # covered once, so it is looked up by that cover.  Filtering the table
+    # keeps the order in which the matchings would be generated.
     table = []
     by_cover: dict[int, list] = {}
     for m in noncrossing_matchings(range(1, n + 1)):
+        if not min_page <= len(m) <= n - 2 * min_page:
+            continue
         cover = sum(1 << i | 1 << j for i, j in m)
         arcs = sum(1 << i * (n + 1) + j for i, j in m)
         give = take = 0
@@ -211,9 +224,8 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
                 give = short | arcs | sum(1 << j * (n + 1) + i for i, j in m)
             take = pairs & ~short | _clear_chords(n, m)
         entry = (m, flip_page(n, m), cover, arcs, give, take)
+        table.append(entry)
         by_cover.setdefault(cover, []).append(entry)
-        if min_page <= len(m) <= n - 2 * min_page:  # a page 1 or 2
-            table.append(entry)
     partners = {x: itemgetter(*[i for i in range(n + 1) if x >> i & 1])
                 for x in by_cover if x}  # reads the path ends of cover x
     page2: dict[int, list] = {}  # page 1's cover -> its page-2 candidates
@@ -422,14 +434,26 @@ def refute_t33_at_9() -> RefutationReport:
     page sequence must be adjacent-distinct around a 3-cycle), so all
     pages hold exactly three arcs; with bridge number 3 that matches the
     three-arcs-per-page lower bound.  The search space is enumerated under
-    those forced constraints and every candidate is profiled against the
-    closed torus braid, |lk| multiset first.  No crossing floor is applied
-    (``three_page_index`` would set 6), on purpose: the count of examined
-    candidates stays that of the whole forced space, 500.  The size is fixed
-    at nine points and no search limit is read here; the command line checks
-    its limit before it calls this.
+    those forced constraints, and every candidate is examined against the
+    closed torus braid.
+
+    A candidate is a linking candidate when its |lk| multiset is the
+    target's, (1, 1, 1), and only those are profiled.  Components i and j
+    of a diagram cross at least 2 |lk(i, j)| times, so a linking candidate
+    has at least 2 * sum |lk| = 6 crossings.  The crossings are the P1/P3
+    interleavings, counted on the pages, so a candidate with fewer is
+    decided without building its diagram, and ``linking_candidates`` stays
+    the exact count.  No 9-point candidate has more than two crossings, so
+    none is projected.  The full ``crossing_floor`` is not applied (it is 6
+    here too, but its Jones-span term could skip a candidate with the
+    target's |lk|), and neither is the enumerator's ``min_crossings``, on
+    purpose: the count of examined candidates stays that of the whole
+    forced space, 500.  The size is fixed at nine points and no search
+    limit is read here; the command line checks its limit before it calls
+    this.
     """
     target = closure_profile(3, 3)
+    bound = 2 * sum(target.abs_linking)
     constraints = SearchConstraints(
         9, required_components=3, prune_split_pairs=True, min_arcs_per_page=3)
     examined = 0
@@ -437,6 +461,8 @@ def refute_t33_at_9() -> RefutationReport:
     witnesses: list[ThreePagePresentation] = []
     for pres in enumerate_presentations(constraints):
         examined += 1
+        if _crossing_count(pres.pages) < bound:
+            continue
         if abs_linking_multiset(project(pres)) != target.abs_linking:
             continue
         linking_candidates += 1

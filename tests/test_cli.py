@@ -51,6 +51,13 @@ def test_construct_rejects_the_other_familys_parameters():
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
+def test_construct_tnn_names_n_below_two():
+    for n in ("0", "1", "-3"):
+        code, out, err = run(["construct", "tnn", "--n", n])
+        assert (code, out, err) == (
+            1, "", f"error: construct tnn needs --n >= 2, got {n}\n"), n
+
+
 def test_construct_tnn_tight_is_out_of_the_tight_range():
     code, out, err = run(["construct", "tnn", "--n", "3", "--tight"])
     assert (code, out) == (1, "")

@@ -4,14 +4,16 @@ import itertools
 import pytest
 
 from threepage.braids import parse_word
-from threepage.diagram import braid_closure_diagram, project
+from threepage import search
+from threepage.diagram import abs_linking_multiset, braid_closure_diagram, project
 from threepage.invariants import profile, equal_up_to_mirror
 from threepage.presentation import (InvalidPresentationError, PlacedArc,
                                     components, detect_split_pair,
                                     is_canonical, parse, validate)
-from threepage.search import (SearchConstraints, _component_count, census,
-                              crossing_floor, enumerate_presentations,
-                              interleaving_table, noncrossing_matchings,
+from threepage.search import (SearchConstraints, _component_count,
+                              _crossing_count, census, crossing_floor,
+                              enumerate_presentations, interleaving_table,
+                              noncrossing_matchings, refute_t33_at_9,
                               three_page_index)
 from threepage.torus import (HOPF, UNKNOT_TRIANGLE, closure_profile, tnn, tpq,
                              tpq_tight)
@@ -301,21 +303,47 @@ def test_irreducible_rule_merges_the_arc_from_1_to_n():
 
 
 def test_interleaving_count_and_floor_against_the_projection():
-    # the enumerator's integer crossing count is the projection's, and the
-    # floor of a presentation's own profile never exceeds it (the floor is
-    # what three_page_index skips below, so this is its soundness oracle)
+    # the enumerator's integer crossing counts, from its table and from the
+    # pages, are the projection's; neither 2 * sum |lk| (the bound
+    # refute_t33_at_9 decides before projecting) nor the floor of a
+    # presentation's own profile ever exceeds it (the floor is what
+    # three_page_index skips below, so this is its soundness oracle)
     total = tight = 0
     for n in range(3, 9):
         for pres in enumerate_presentations(SearchConstraints(n)):
             m1, _, m3 = pres.pages
             table = interleaving_table(n, m1)
-            count = sum(table[a][b] for a, b in m3)
-            assert count == project(pres).crossing_count(), pres
+            count = _crossing_count(pres.pages)
+            d = project(pres)
+            assert count == sum(table[a][b] for a, b in m3), pres
+            assert count == len(d.crossings), pres
+            assert 2 * sum(abs_linking_multiset(d)) <= count, pres
             floor = crossing_floor(profile(pres))
             assert floor <= count, pres
             total += 1
             tight += floor == count
     assert (total, tight) == (16950, 9010)
+
+
+def test_refute_t33_decides_every_candidate_before_projecting(monkeypatch):
+    # T(3,3) has |lk| = (1, 1, 1), so a linking candidate needs 6 crossings;
+    # the refutation stream has at most 2, so no candidate is projected and
+    # the report is still the whole forced space with no linking candidate
+    stream = _all(9, required_components=3, prune_split_pairs=True,
+                  min_arcs_per_page=3)
+    counts = [_crossing_count(pres.pages) for pres in stream]
+    assert {c: counts.count(c) for c in set(counts)} == {0: 444, 2: 56}
+    calls = []
+
+    def counted(pres):
+        calls.append(pres)
+        return project(pres)
+
+    monkeypatch.setattr(search, "project", counted)
+    report = refute_t33_at_9()
+    assert calls == []
+    assert (report.examined, report.linking_candidates, report.witnesses) == (
+        500, 0, ())
 
 
 def test_crossing_floor_of_small_links():
