@@ -36,28 +36,26 @@ class CrossingLimitError(RuntimeError):
 
 # -- frontier contraction -----------------------------------------------------
 
-#: delta^k = (-A^2 - A^-2)^k for the 0, 1 or 2 loops one crossing can close.
-_LOOP_POWERS = ({0: 1}, {2: -1, -2: -1}, {4: 1, 0: 2, -4: 1})
-
 
 def _contraction_order(crossings: tuple[CrossingTuple, ...]) -> list[int]:
     """Greedy planar order: next the crossing that adds the fewest open
     edges, ties broken by index.  An edge is open while exactly one of its
-    two ends lies at a contracted crossing."""
-    open_edges: set[int] = set()
-
-    def growth(k: int) -> int:
-        t = crossings[k]
-        return sum(-1 if e in open_edges else 1 for e in t if t.count(e) == 1)
-
+    two ends lies at a contracted crossing.  Growth starts at the count of
+    non-curl slots, 2 len(set(t)) - 4, and contracting crossing k lowers it
+    by 2 at ``ends[e] - k``, the other end of each of its edges e."""
+    ends: dict[int, int] = {}
+    for k, t in enumerate(crossings):
+        for e in t:
+            ends[e] = ends.get(e, 0) + k
+    growth = [2 * len(set(t)) - 4 for t in crossings]
     left = list(range(len(crossings)))
     order: list[int] = []
     while left:
-        best = min(left, key=growth)
+        best = min(left, key=growth.__getitem__)
         left.remove(best)
         order.append(best)
-        t = crossings[best]
-        open_edges.symmetric_difference_update(e for e in t if t.count(e) == 1)
+        for e in crossings[best]:
+            growth[ends[e] - best] -= 2
     return order
 
 
@@ -70,6 +68,13 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
     position, the position of the other end of its strand through the
     contracted part.  A state maps to the sum of A^(a-b) delta^loops over
     the partial smoothing states that induce it.
+
+    Each sum is kept as (low, P) for A^low sum_j c_j A^(2j), P = sum_j c_j
+    2^(B j), B = 3c + 2.  The exponents of a state share the parity of the
+    crossings contracted, and |c_j| <= 8^c (2^c partial smoothings, each
+    A^e delta^l with l <= 2c, of absolute coefficient sum 2^l), so signed
+    B-bit slots decode exactly.  delta is -(P + (P << 2B)) with low - 2,
+    and a merge shifts the state with the higher low.
 
     At each crossing the strand ends meeting there are indexed once: open
     edges by their front position, then the crossing's other edges, a
@@ -90,8 +95,9 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
         if d.free_loops == 0:
             raise ValueError("bracket of the empty diagram is undefined")
         return LOOP ** (d.free_loops - 1)
+    width = 3 * len(d.crossings) + 2
     front: list[int] = []
-    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    states: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1)}
     order = _contraction_order(d.crossings)
     for k in order:
         t = d.crossings[k]
@@ -110,8 +116,8 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
         place = [-1] * len(index)
         for j, i in enumerate(survivors):
             place[i] = j
-        nxt: dict[tuple[int, ...], dict[int, int]] = {}
-        for pairing, poly in states.items():
+        nxt: dict[tuple[int, ...], tuple[int, int]] = {}
+        for pairing, (low, poly) in states.items():
             for joins, shift in smoothings:
                 partner = [*pairing, *pad]
                 loops = -uncounted
@@ -122,15 +128,29 @@ def bracket_skein(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> Laur
                         u = partner[x] if partner[x] >= 0 else x
                         v = partner[y] if partner[y] >= 0 else y
                         partner[u], partner[v] = v, u
-                acc = nxt.setdefault(tuple([place[partner[i]] for i in survivors]), {})
-                for fe, fc in _LOOP_POWERS[loops].items():
-                    fe += shift
-                    for e, c in poly.items():
-                        e += fe
-                        acc[e] = acc.get(e, 0) + c * fc
+                key = tuple([place[partner[i]] for i in survivors])
+                lo, p = low + shift - 2 * loops, poly
+                if loops:
+                    p = -(p + (p << 2 * width))
+                    if loops == 2:
+                        p = -(p + (p << 2 * width))
+                old = nxt.get(key)
+                if old is None:
+                    nxt[key] = (lo, p)
+                elif old[0] <= lo:
+                    nxt[key] = (old[0], old[1] + (p << (lo - old[0]) // 2 * width))
+                else:
+                    nxt[key] = (lo, p + (old[1] << (old[0] - lo) // 2 * width))
         front = new_front
         states = nxt
-    total = LaurentPoly.from_dict(states[()])
+    low, poly = states[()]
+    terms: dict[int, int] = {}
+    half = 1 << (width - 1)
+    while poly:
+        terms[low] = coeff = ((poly + half) & (2 * half - 1)) - half
+        poly = (poly - coeff) >> width
+        low += 2
+    total = LaurentPoly.from_dict(terms)
     return total * LOOP ** d.free_loops if d.free_loops else total
 
 

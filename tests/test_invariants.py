@@ -1,18 +1,22 @@
+import functools
 import random
 
 import pytest
 
-from threepage.braids import BraidWord, torus_braid
+from threepage.braids import BraidWord, torus_braid, torus_braid_small
 from threepage.diagram import (PlanarDiagram, braid_closure_diagram,
                                project, trace)
-from threepage.invariants import (CrossingLimitError, bracket_skein,
-                                  equal_up_to_mirror, jones_set, profile)
+from threepage.invariants import (CrossingLimitError, _contraction_order,
+                                  bracket_skein, equal_up_to_mirror, jones_set,
+                                  profile)
 from threepage.laurent import LOOP, ONE, LaurentPoly
 from threepage.presentation import ThreePagePresentation, symmetry_orbit
+from threepage.search import SearchConstraints, enumerate_presentations
 from threepage.torus import tnn, tpq, tpq_tight
 
-from util import (bracket_statesum, disjoint_union, jones, trivial_profile,
-                  walk_arcs, without_component)
+from util import (bracket_statesum, disjoint_union, jones, reference_bracket,
+                  reference_contraction_order, trivial_profile, walk_arcs,
+                  without_component)
 
 HOPF_BRACKET = LaurentPoly.from_dict({4: -1, -4: -1})
 TREFOIL_JONES = LaurentPoly.from_dict({-4: 1, -12: 1, -16: -1})
@@ -212,7 +216,12 @@ def torus_knot_jones(p: int, q: int) -> LaurentPoly:
     (4, 7, lambda: braid_closure_diagram(torus_braid(4, 7))),
     (4, 7, lambda: project(tpq(4, 7))),
     (4, 9, lambda: project(tpq_tight(4, 9))),
-], ids=["T(2,5)", "T(3,4)", "T(3,5)", "T(4,7)", "tpq(4,7)", "tpq_tight(4,9)"])
+    (5, 6, lambda: braid_closure_diagram(torus_braid(5, 6))),
+    (6, 7, lambda: braid_closure_diagram(torus_braid(6, 7))),
+    (5, 9, lambda: braid_closure_diagram(torus_braid(5, 9))),
+    (4, 13, lambda: braid_closure_diagram(torus_braid(4, 13))),
+], ids=["T(2,5)", "T(3,4)", "T(3,5)", "T(4,7)", "tpq(4,7)", "tpq_tight(4,9)",
+        "T(5,6)", "T(6,7)", "T(5,9)", "T(4,13)"])
 def test_torus_knot_jones_closed_form(p, q, build):
     want = torus_knot_jones(p, q)
     prof = profile(build(), limit=64)
@@ -220,11 +229,83 @@ def test_torus_knot_jones_closed_form(p, q, build):
     assert prof.jones in ({want}, {want.mirror()})
 
 
+def torus_verify_pool():
+    """The constructions that the torus-verify benchmark checks, with (p, q)."""
+    return ((tnn(5), (5, 5)), (tnn(6), (6, 6)), (tpq(4, 7), (4, 7)),
+            (tpq_tight(4, 9), (4, 9)))
+
+
 def test_tnn5_orbit_profiles_match_closed_braid():
-    # beyond the state sum's reach, the closed braid is the only oracle
-    # for the contraction on large link diagrams
-    for pres, (p, q) in ((tnn(5), (5, 5)), (tnn(6), (6, 6)), (tpq(4, 7), (4, 7)),
-                         (tpq_tight(4, 9), (4, 9))):
+    # beyond the state sum's reach, the closed braid checks whole profiles
+    # on large link diagrams; reference_bracket checks the arithmetic below
+    for pres, (p, q) in torus_verify_pool():
         braid = profile(braid_closure_diagram(torus_braid(p, q)), limit=64)
         for image in symmetry_orbit(pres):
             assert profile(image, limit=64) == braid, (image, p, q)
+
+
+def torus_verify_diagrams() -> list[PlanarDiagram]:
+    """The 24 orbit images of tnn(5), tnn(6), tpq(4,7) and tpq_tight(4,9),
+    20 to 34 crossings, and the closures of their 4 torus braids."""
+    out = []
+    for pres, (p, q) in torus_verify_pool():
+        out += [project(image) for image in symmetry_orbit(pres)]
+        out.append(braid_closure_diagram(torus_braid_small(p, q)))
+    return out
+
+
+def seeded_closures(seed: int, count: int, lengths: tuple[int, int]) -> list[PlanarDiagram]:
+    """Closures of random braid words on 2 to 5 strands, one crossing per letter."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.randint(2, 5)
+        letters = [(rng.randint(1, strands - 1), rng.choice((1, -1)))
+                   for _ in range(rng.randint(*lengths))]
+        out.append(braid_closure_diagram(BraidWord.of(strands, letters)))
+    return out
+
+
+@pytest.mark.parametrize("build", [
+    torus_verify_diagrams,
+    lambda: [project(image) for image in symmetry_orbit(tnn(7))],
+    lambda: seeded_closures(20261020, 100, (13, 30)),
+], ids=["torus-verify", "tnn(7)", "closures-13-30"])
+def test_packed_bracket_matches_dict_states(build):
+    # beyond 12 crossings the state sum cannot check link diagrams; the dict
+    # states compute the same frontier with plain {exponent: coeff} arithmetic
+    diagrams = build()
+    assert max(d.crossing_count() for d in diagrams) > 24
+    for d in diagrams:
+        assert bracket_skein(d, limit=64) == reference_bracket(d, limit=64)
+
+
+def test_contraction_order_matches_recount():
+    # an identical order means identical frontier states, state for state
+    diagrams = [project(pres) for n in range(3, 8)
+                for pres in enumerate_presentations(SearchConstraints(n))]
+    diagrams += torus_verify_diagrams()
+    diagrams += [project(image) for image in symmetry_orbit(tnn(7))]
+    diagrams += seeded_closures(20261020, 100, (13, 30))
+    assert len(diagrams) == 2 + 10 + 44 + 294 + 1964 + 28 + 6 + 100
+    for d in diagrams:
+        assert _contraction_order(d.crossings) == reference_contraction_order(d.crossings)
+
+
+def test_bracket_of_unions_with_curls_and_free_loops():
+    # pieces within the state sum's reach; unions of 3 to 5 of them reach 24
+    # crossings, and states with different low exponents merge in them
+    rng = random.Random(4242)
+    curls = [braid_closure_diagram(BraidWord.of(2, [(1, s)])) for s in (1, -1)]
+    loose = [braid_closure_diagram(BraidWord.of(
+        rng.randint(3, 5), [(1, rng.choice((1, -1))) for _ in range(rng.randint(1, 6))]))
+        for _ in range(4)]
+    pieces = curls + loose + seeded_closures(7, 10, (2, 8))
+    assert all(d.free_loops for d in loose)
+    brackets = [bracket_statesum(d) for d in pieces]
+    for _ in range(20):
+        chosen = [rng.randrange(len(pieces)) for _ in range(rng.randint(3, 5))]
+        union = functools.reduce(disjoint_union, [pieces[i] for i in chosen])
+        want = functools.reduce(LaurentPoly.__mul__, [brackets[i] for i in chosen],
+                                LOOP ** (len(chosen) - 1))
+        assert bracket_skein(union, limit=64) == want

@@ -3,8 +3,10 @@
 The oracles deliberately avoid the library's fast paths so that test
 expectations are computed along a different path than the code under test:
 crossing signs come from semicircle calculus, the bracket from a sum over
-all 2^c smoothing states, enumeration counts from a naive
-generate-and-filter pass, the enumeration stream from a reference pass that
+all 2^c smoothing states and, beyond its reach, from the frontier
+contraction on plain {exponent: coeff} dicts in an order recounted at every
+step, enumeration counts from a naive generate-and-filter pass, the
+enumeration stream from a reference pass that
 validates and canonicalizes every candidate, index searches from a loop
 that profiles every candidate without the crossing floor, the irreducible
 rule from a test of each short arc and of each arc at each of its ends,
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from typing import Iterable, Iterator, Optional
 
-from threepage.diagram import PlanarDiagram, project, trace
+from threepage.diagram import CrossingTuple, PlanarDiagram, project, trace
 from threepage.invariants import (DEFAULT_CROSSING_LIMIT, CrossingLimitError,
                                   InvariantProfile, bracket_skein,
                                   equal_up_to_mirror, profile)
@@ -419,6 +421,87 @@ def bracket_statesum(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> L
         term = LaurentPoly.monomial(diff, mult) * (LOOP ** (loops - 1))
         out = out + term
     return out
+
+
+def reference_contraction_order(crossings: tuple[CrossingTuple, ...]) -> list[int]:
+    """``invariants._contraction_order`` by recounting: at every step each
+    remaining crossing's growth is summed again over its edges against the
+    set of open edges."""
+    open_edges: set[int] = set()
+
+    def growth(k: int) -> int:
+        t = crossings[k]
+        return sum(-1 if e in open_edges else 1 for e in t if t.count(e) == 1)
+
+    left = list(range(len(crossings)))
+    order: list[int] = []
+    while left:
+        best = min(left, key=growth)
+        left.remove(best)
+        order.append(best)
+        t = crossings[best]
+        open_edges.symmetric_difference_update(e for e in t if t.count(e) == 1)
+    return order
+
+
+#: delta^k = (-A^2 - A^-2)^k for the 0, 1 or 2 loops one crossing can close.
+_LOOP_POWERS = ({0: 1}, {2: -1, -2: -1}, {4: 1, 0: 2, -4: 1})
+
+
+def reference_bracket(d: PlanarDiagram, limit: int = DEFAULT_CROSSING_LIMIT) -> LaurentPoly:
+    """``bracket_skein`` with each state's polynomial kept as an
+    ``{exponent: coeff}`` dict: the same frontier, the same strand-join
+    rule and the order of ``reference_contraction_order``, with plain dict
+    arithmetic in place of the packed integers."""
+    if len(d.crossings) > limit:
+        raise CrossingLimitError(
+            f"{len(d.crossings)} crossings exceed the limit of {limit}")
+    if not d.crossings:
+        if d.free_loops == 0:
+            raise ValueError("bracket of the empty diagram is undefined")
+        return LOOP ** (d.free_loops - 1)
+    front: list[int] = []
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    order = reference_contraction_order(d.crossings)
+    for k in order:
+        t = d.crossings[k]
+        uncounted = 1 if k == order[-1] else 0
+        index = {e: i for i, e in enumerate(front)}
+        new_front = [e for e in front if e not in t]
+        for e in t:
+            if e not in index:
+                index[e] = len(index)
+                if t.count(e) == 1:
+                    new_front.append(e)
+        i0, i1, i2, i3 = (index[e] for e in t)
+        smoothings = ((((i0, i1), (i2, i3)), 1), (((i0, i3), (i1, i2)), -1))
+        pad = [-1] * (len(index) - len(front))
+        survivors = [index[e] for e in new_front]
+        place = [-1] * len(index)
+        for j, i in enumerate(survivors):
+            place[i] = j
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for pairing, poly in states.items():
+            for joins, shift in smoothings:
+                partner = [*pairing, *pad]
+                loops = -uncounted
+                for x, y in joins:
+                    if x == y or partner[x] == y:
+                        loops += 1
+                    else:
+                        u = partner[x] if partner[x] >= 0 else x
+                        v = partner[y] if partner[y] >= 0 else y
+                        partner[u], partner[v] = v, u
+                acc = nxt.setdefault(tuple([place[partner[i]] for i in survivors]), {})
+                for fe, fc in _LOOP_POWERS[loops].items():
+                    fe += shift
+                    for e, c in poly.items():
+                        e += fe
+                        acc[e] = acc.get(e, 0) + c * fc
+        front = new_front
+        states = nxt
+    total = LaurentPoly.from_dict(states[()])
+    return total * LOOP ** d.free_loops if d.free_loops else total
 
 
 # -- diagram and presentation helpers -----------------------------------------------
