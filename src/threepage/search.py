@@ -7,11 +7,12 @@ endpoint set of page 3, leaving only its non-crossing perfect matchings to
 enumerate.  A canonical page triple is lexicographically no larger than any
 of its six images under the order-6 symmetry group, so page 1 must not
 exceed its own point-reversed copy, nor page 2 or its reversed copy.
-Prefixes that fail these tests are cut before page 3 is enumerated, and the
-full orbit comparison runs on int tuples.  Streams are deterministic and
-contain exactly one representative per orbit; pruning only skips
-candidates, so the emission order is that of the plain generate-and-filter
-pass.
+Prefixes that fail these tests are cut before page 3 is enumerated.  Pages
+are compared by rank in a sorted page table, so these tests compare ints
+and the full orbit comparison runs on rank triples.  Streams are
+deterministic and contain exactly one representative per orbit; pruning
+only skips candidates, so the emission order is that of the plain
+generate-and-filter pass.
 
 The engine runs a search of any size it is given, and the count of
 canonical presentations grows roughly eightfold per point.  Capping the
@@ -75,19 +76,24 @@ class SearchConstraints:
 _ARCS: dict[Arc, Arc] = {}
 
 
-def noncrossing_matchings(points: Sequence[int]) -> Iterator[tuple[Arc, ...]]:
-    """All non-crossing partial matchings of an increasing point sequence."""
-    if not points:
-        yield ()
-        return
-    first, rest = points[0], points[1:]
-    yield from noncrossing_matchings(rest)
-    for k, other in enumerate(rest):
-        arc = _ARCS.setdefault((first, other), (first, other))
-        inside, outside = rest[:k], rest[k + 1:]
-        for m_in in noncrossing_matchings(inside):
-            for m_out in noncrossing_matchings(outside):
-                yield (arc,) + m_in + m_out
+def noncrossing_matchings(points: Sequence[int]) -> list[tuple[Arc, ...]]:
+    """All non-crossing partial matchings of an increasing point sequence.
+
+    Those of a run leave its first point free or join it to a later point,
+    then match inside and after that arc.  ``runs[lo, hi]`` holds those of
+    ``points[lo:hi]``, built once per call from the shorter runs."""
+    runs: dict[tuple[int, int], list[tuple[Arc, ...]]] = {}
+    for lo in range(len(points), -1, -1):
+        runs[lo, lo] = [()]
+        for hi in range(lo + 1, len(points) + 1):
+            found = runs[lo + 1, hi][:]
+            for j in range(lo + 1, hi):
+                arc = (points[lo], points[j])
+                head = (_ARCS.setdefault(arc, arc),)
+                found += [head + m_in + m_out for m_in in runs[lo + 1, j]
+                          for m_out in runs[j + 1, hi]]
+            runs[lo, hi] = found
+    return runs[0, len(points)]
 
 
 def _join(ends: list[int], page: Sequence[Arc]) -> int:
@@ -163,119 +169,122 @@ def _clear_chords(n: int, page: Sequence[Arc]) -> int:
                for x, inside, around in sides)
 
 
-def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
-    """Canonical valid presentations on c.n points satisfying c, exactly one
-    per symmetry orbit, in deterministic order.
+def _page_table(n: int, min_page: int, irreducible: bool) -> list[tuple]:
+    """Every non-crossing matching of 1..n with between min_page and
+    n - 2 * min_page arcs, in the order ``noncrossing_matchings`` gives:
+    each page of a presentation whose pages hold min_page arcs or more.
 
-    Every candidate is valid by construction: each page is a non-crossing
-    matching, page 2 covers every point page 1 leaves free, and page 3 is a
-    perfect matching of the points that still meet one arc.  The page-size
-    bounds leave page 3 with at least ``min_arcs_per_page`` arcs.  Page 2
-    runs over an index, built once per cover of page 1, of the matchings
-    that cover the points page 1 leaves free within those bounds.  A prefix
-    (pages 1 and 2) is cut when the pages share an arc under the split-pair
-    rule, or under the irreducible rule when an arc of page 1 merges into
-    page 2 or one of page 2 into page 1, whatever page 3 is: a short arc
-    across its binding segment, or an arc swung about one end.  Page 3 runs
-    over a list: the matchings of its cover that close exactly the missing
-    components, kept per pairing of the path ends pages 1 and 2 leave, and
-    of those the ones that reach ``min_crossings``, kept per page 1 and
-    pairing.  Each leaf then meets the rest of the split-pair rule (an arc
-    of page 3 on page 1 or 2), the rest of the irreducible rule (an arc of
-    page 1 or 2 merging into page 3, or one of page 3 into page 1 or 2) and
-    the orbit test.
-    """
-    n = c.n
-    min_page = c.min_arcs_per_page or 1
-    floor = c.min_crossings
-    split = c.prune_split_pairs
-    # One page table: every non-crossing matching of 1..n with between
-    # min_page and n - 2 * min_page arcs, in generation order.  All three
-    # pages lie in that window: pages 1 and 2 hold at least min_page arcs
-    # each, and the page-2 index leaves page 3, with n - |m1| - |m2| arcs,
-    # at least min_page.  An entry holds the matching, its point reversal,
-    # the bitmask of the points it covers, the bitmask of its arcs (bit
-    # i * (n + 1) + j for arc (i, j)) and two masks of merge sites, 0
-    # without the irreducible rule.  A merge moves an arc out of one page
-    # into another, so it needs a bit in the ``give`` mask of the one and
-    # in the ``take`` mask of the other.  Bits 0..n-1 are the n adjacent
-    # pairs of the binding circle, bit i for (i, i + 1) and bit 0 for
-    # (n, 1): ``give`` holds a page's short arcs if it has another arc,
-    # ``take`` the pairs it covers with two different arcs.  Bit
-    # u * (n + 1) + v is the chord from u to v: ``give`` holds a page's
-    # arcs, both ways round, if it has another arc, ``take`` the chords
-    # from a point it covers to one it leaves free that cross none of its
-    # arcs (``_clear_chords``).  Page 3 is a perfect matching of the points
-    # covered once, so it is looked up by that cover.  Filtering the table
-    # keeps the order in which the matchings would be generated.
+    An entry holds the matching, its rank (its place in tuple order), the
+    rank of its point reversal (of the same size, so in the table too), the
+    smaller of the two, the bitmask of the points it covers, the bitmask of
+    its arcs (bit i * (n + 1) + j for arc (i, j)) and two masks of merge
+    sites, 0 without the irreducible rule.  A merge moves an arc out of one
+    page into another, so it needs a bit in the ``give`` mask of the one and
+    in the ``take`` mask of the other.  Bit i, for i < n, is the adjacent
+    pair (i, i + 1) of the binding circle, bit 0 the pair (n, 1): ``give``
+    holds a page's short arcs if it has another arc, ``take`` the pairs it
+    covers with two different arcs.  Bit u * (n + 1) + v is the chord from
+    u to v: ``give`` holds a page's arcs, both ways round, if it has another
+    arc, ``take`` the chords from a point it covers to one it leaves free
+    that cross none of its arcs (``_clear_chords``)."""
+    pages = [m for m in noncrossing_matchings(range(1, n + 1))
+             if min_page <= len(m) <= n - 2 * min_page]
+    rank = {m: r for r, m in enumerate(sorted(pages))}
     table = []
-    by_cover: dict[int, list] = {}
-    for m in noncrossing_matchings(range(1, n + 1)):
-        if not min_page <= len(m) <= n - 2 * min_page:
-            continue
+    for m in pages:
+        r, rf = rank[m], rank[flip_page(n, m)]
         cover = sum(1 << i | 1 << j for i, j in m)
         arcs = sum(1 << i * (n + 1) + j for i, j in m)
         give = take = 0
-        if c.irreducible:
+        if irreducible:
             short = sum(1 << (i if j == i + 1 else 0) for i, j in m
                         if j - i in (1, n - 1))
             pairs = (cover & cover >> 1) | (cover >> n & cover >> 1 & 1)
             if len(m) > 1:
                 give = short | arcs | sum(1 << j * (n + 1) + i for i, j in m)
             take = pairs & ~short | _clear_chords(n, m)
-        entry = (m, flip_page(n, m), cover, arcs, give, take)
-        table.append(entry)
-        by_cover.setdefault(cover, []).append(entry)
+        table.append((m, r, rf, min(r, rf), cover, arcs, give, take))
+    return table
+
+
+def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
+    """Canonical valid presentations on c.n points satisfying c, exactly one
+    per symmetry orbit, in deterministic order.
+
+    Every candidate is valid by construction: each page is a non-crossing
+    matching, page 2 covers every point page 1 leaves free, and page 3 is a
+    perfect matching of the points that still meet one arc.  Pages come from
+    ``_page_table``, in order, and are compared by rank.  Page 2 runs over
+    an index, built once per cover of page 1, of the entries that cover the
+    points page 1 leaves free and leave page 3 at least ``min_arcs_per_page``
+    arcs.  A prefix (pages 1 and 2) is cut when the pages share an arc under
+    the split-pair rule, or under the irreducible rule when an arc of page
+    1 merges into page 2 or one of page 2 into page 1, whatever page 3 is: a
+    short arc across its binding segment, or an arc swung about one end.
+    Page 3 runs over a list: the entries of its cover that close exactly
+    the missing components, kept per pairing of the path ends pages 1 and 2
+    leave, and of those the ones that reach ``min_crossings``, kept per
+    page 1 and pairing.  Each leaf then meets the rest of the split-pair
+    rule (an arc of page 3 on page 1 or 2), the rest of the irreducible
+    rule (an arc of page 1 or 2 merging into page 3, or one of page 3 into
+    page 1 or 2) and the orbit test on the ranks.
+    """
+    n = c.n
+    min_page = c.min_arcs_per_page or 1
+    floor = c.min_crossings
+    split = c.prune_split_pairs
+    required = c.required_components
+    table = _page_table(n, min_page, c.irreducible)
+    by_cover: dict[int, list] = {}  # page 3 matches the points covered once
+    for entry in table:
+        by_cover.setdefault(entry[4], []).append(entry)
     partners = {x: itemgetter(*[i for i in range(n + 1) if x >> i & 1])
                 for x in by_cover if x}  # reads the path ends of cover x
     page2: dict[int, list] = {}  # page 1's cover -> its page-2 candidates
-    # components still to close and the partner of each path end, in point
-    # order -> the page-3 candidates closing that many
-    closing: dict[tuple, list] = {}
-    for m1, f1, used1, arcs1, give1, take1 in table:
-        if f1 < m1 or not used1 & 2:  # else page 2 covers point 1: m2 < m1
+    closing: dict[tuple, list] = {}  # (missing, end partners) -> page 3s
+    for m1, r1, rf1, _, used1, arcs1, give1, take1 in table:
+        if rf1 < r1 or not used1 & 2:  # else page 2 covers point 1: m2 < m1
             continue
         if used1 not in page2:
             free, most = ~used1 & (1 << n + 1) - 2, n - len(m1) - min_page
             page2[used1] = [e for e in table
-                            if e[2] & free == free and len(e[0]) <= most]
+                            if e[4] & free == free and len(e[0]) <= most]
         if floor:
             crossings = interleaving_table(n, m1)
             reach: dict = {}  # key -> the listed page 3s that reach floor
         ends1 = list(range(n + 1))
         _join(ends1, m1)
-        for m2, f2, used2, arcs2, give2, take2 in page2[used1]:
-            if m2 < m1 or f2 < m1:
+        for m2, r2, rf2, low2, used2, arcs2, give2, take2 in page2[used1]:
+            if low2 < r1:
                 continue
             if split and arcs1 & arcs2 or give1 & take2 or give2 & take1:
                 continue
             give12, take12 = give1 | give2, take1 | take2
             key = cover = used1 ^ used2
             page3 = by_cover[cover]
-            if c.required_components is not None:
+            if required is not None:
                 ends = ends1[:]
-                missing = c.required_components - _join(ends, m2)
+                missing = required - _join(ends, m2)
                 if missing < 1:  # the last arc of page 3 closes one
                     continue
                 key = (missing, partners[cover](ends))
-                if key not in closing:
-                    closing[key] = [p for p in page3
-                                    if _join(ends[:], p[0]) == missing]
-                page3 = closing[key]
+                page3 = closing.get(key)
+                if page3 is None:
+                    page3 = closing[key] = [p for p in by_cover[cover]
+                                            if _join(ends[:], p[0]) == missing]
             if floor:
                 if key not in reach:
                     reach[key] = [p for p in page3 if floor <= sum(
                         crossings[a][b] for a, b in p[0])]
                 page3 = reach[key]
-            for m3, f3, _, arcs3, give3, take3 in page3:
+            for m3, r3, rf3, _, _, arcs3, give3, take3 in page3:
                 if split and arcs3 & (arcs1 | arcs2):
                     continue
                 if give12 & take3 or give3 & take12:
                     continue
-                pages = (m1, m2, m3)
-                if min(orbit_images(pages, (f1, f2, f3))) != pages:
-                    continue
-                yield ThreePagePresentation(n, pages)
+                ranks = (r1, r2, r3)
+                if min(orbit_images(ranks, (rf1, rf2, rf3))) == ranks:
+                    yield ThreePagePresentation(n, (m1, m2, m3))
 
 
 @dataclass(frozen=True)

@@ -8,21 +8,21 @@ from threepage import search
 from threepage.diagram import abs_linking_multiset, braid_closure_diagram, project
 from threepage.invariants import profile, equal_up_to_mirror
 from threepage.presentation import (InvalidPresentationError, PlacedArc,
-                                    components, detect_split_pair,
+                                    components, detect_split_pair, flip_page,
                                     is_canonical, parse, validate)
 from threepage.search import (SearchConstraints, _component_count,
-                              _crossing_count, census, crossing_floor,
-                              enumerate_presentations, interleaving_table,
-                              noncrossing_matchings, refute_t33_at_9,
-                              three_page_index)
+                              _crossing_count, _page_table, census,
+                              crossing_floor, enumerate_presentations,
+                              interleaving_table, noncrossing_matchings,
+                              refute_t33_at_9, three_page_index)
 from threepage.torus import (HOPF, UNKNOT_TRIANGLE, closure_profile, tnn, tpq,
                              tpq_tight)
 
 from util import (canonicalize, insert_kink, merge_one_point, merge_short_arc,
                   naive_noncrossing_matchings, naive_valid_presentations,
                   one_point_merges, reducible, reference_filter,
-                  reference_index, reference_presentations, short_arc_merges,
-                  trivial_profile)
+                  reference_index, reference_matchings,
+                  reference_presentations, short_arc_merges, trivial_profile)
 
 #: canonical presentations on n points, n = 3..9
 GOLDEN_COUNTS = {3: 2, 4: 10, 5: 44, 6: 294, 7: 1964, 8: 14636, 9: 112912}
@@ -62,6 +62,28 @@ def test_matching_generators_agree_with_naive_oracle():
         fast = {frozenset(m) for m in noncrossing_matchings(pts)}
         naive = {frozenset(m) for m in naive_noncrossing_matchings(pts)}
         assert fast == naive
+
+
+def test_matchings_come_in_reference_order():
+    # the page table, and so the stream, follows this order
+    gapped = [(2, 3, 5, 8, 9), (1, 4, 6, 7, 10, 11, 12), (7,), (3, 9)]
+    for pts in [tuple(range(1, n + 1)) for n in range(13)] + gapped:
+        assert noncrossing_matchings(pts) == list(reference_matchings(pts)), pts
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_page_table_ranks_order_the_pages(n):
+    for min_page in (1, 2, 3):
+        table = _page_table(n, min_page, False)
+        pages = [e[0] for e in table]
+        assert pages == [m for m in reference_matchings(tuple(range(1, n + 1)))
+                         if min_page <= len(m) <= n - 2 * min_page]
+        # a bijection onto range(len(table)) that orders the pages as tuples
+        assert sorted(e[1] for e in table) == list(range(len(table)))
+        rank = {e[0]: e[1] for e in table}
+        assert sorted(pages) == sorted(pages, key=rank.__getitem__)
+        for m, r, rf, low, *_ in table:
+            assert rf == rank[flip_page(n, m)] and low == min(r, rf)
 
 
 def test_perfect_matchings_catalan_counts():

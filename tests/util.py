@@ -5,12 +5,13 @@ expectations are computed along a different path than the code under test:
 crossing signs come from semicircle calculus, the bracket from a sum over
 all 2^c smoothing states and, beyond its reach, from the frontier
 contraction on plain {exponent: coeff} dicts in an order recounted at every
-step, enumeration counts from a naive generate-and-filter pass, the
-enumeration stream from a reference pass that
-validates and canonicalizes every candidate, index searches from a loop
-that profiles every candidate without the crossing floor, the irreducible
-rule from a test of each short arc and of each arc at each of its ends,
-and braid equality from the action on a free group.
+step, enumeration counts from a naive generate-and-filter pass, the order
+of the matchings from a plain recursive generator, the enumeration stream
+from a reference pass that validates and canonicalizes every candidate,
+index searches from a loop that profiles every candidate without the
+crossing floor, the irreducible rule from a test of each short arc and of
+each arc at each of its ends, and braid equality from the action on a free
+group.
 
 The helpers build test inputs and read results from the library's own
 machinery; nothing in the package calls them: the well-formedness check of
@@ -37,8 +38,7 @@ from threepage.laurent import LOOP, LaurentPoly, writhe_unit
 from threepage.presentation import (Arc, PlacedArc, Step, ThreePagePresentation,
                                     arcs_interleave, components, is_canonical,
                                     symmetry_orbit, validate)
-from threepage.search import (SearchConstraints, enumerate_presentations,
-                              noncrossing_matchings)
+from threepage.search import SearchConstraints, enumerate_presentations
 
 # -- geometric semicircle oracle -------------------------------------------------
 #
@@ -122,6 +122,23 @@ def naive_noncrossing_matchings(points: tuple[int, ...]) -> list[tuple]:
                 go(rest[:k] + rest[k + 1:], acc + (arc,))
     go(points, ())
     return out
+
+
+def reference_matchings(points: tuple[int, ...]) -> Iterator[tuple]:
+    """All non-crossing partial matchings of an increasing point sequence, in
+    the order the library lists them: first those that leave the first
+    point free, then, for each later point in turn, an arc to it followed
+    by a matching inside that arc and one after it."""
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    yield from reference_matchings(rest)
+    for k, other in enumerate(rest):
+        inside, outside = rest[:k], rest[k + 1:]
+        for m_in in reference_matchings(inside):
+            for m_out in reference_matchings(outside):
+                yield ((first, other),) + m_in + m_out
 
 
 def naive_valid_presentations(n: int) -> list[ThreePagePresentation]:
@@ -293,11 +310,11 @@ def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     n = c.n
     points = tuple(range(1, n + 1))
     min_page = c.min_arcs_per_page or 1
-    for m1 in noncrossing_matchings(points):
+    for m1 in reference_matchings(points):
         if not min_page <= len(m1) <= n - 2 * min_page:
             continue
         used1 = {pt for a in m1 for pt in a}
-        for m2 in noncrossing_matchings(points):
+        for m2 in reference_matchings(points):
             if used1 | {pt for a in m2 for pt in a} != set(points):
                 continue
             if not min_page <= len(m2) <= n - len(m1) - min_page:
@@ -311,7 +328,7 @@ def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
             deficit = tuple(pt for pt in points if degree[pt] == 1)
             if not deficit or len(m1) + len(m2) + len(deficit) // 2 != n:
                 continue
-            for m3 in noncrossing_matchings(deficit):
+            for m3 in reference_matchings(deficit):
                 if 2 * len(m3) != len(deficit) or len(m3) < min_page:
                     continue
                 if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
