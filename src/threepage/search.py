@@ -42,9 +42,10 @@ class SearchConstraints:
     ``refute_t33_at_9`` sets it, which is sound because T(3,3) is
     non-split; ``census`` and ``three_page_index`` leave it off.
     ``min_arcs_per_page`` encodes the bridge-number bound (every page of a
-    presentation of L carries at least br(L) arcs).  ``min_crossings``
-    discards presentations whose projection has fewer crossings, counted as
-    P1/P3 interleavings before any diagram is built; ``three_page_index``
+    presentation of L carries at least br(L) arcs); the default, 1, only
+    keeps every page non-empty.  ``min_crossings`` discards presentations
+    whose projection has fewer crossings, counted as P1/P3 interleavings
+    (``_crossing_count``) before any diagram is built; ``three_page_index``
     sets it to ``crossing_floor`` of its target, which says why that is
     sound.  ``irreducible`` discards presentations that merge into one on
     fewer points.  A two-point merge takes a short arc (two points adjacent
@@ -59,14 +60,14 @@ class SearchConstraints:
     n: int
     required_components: Optional[int] = None
     prune_split_pairs: bool = False
-    min_arcs_per_page: Optional[int] = None
+    min_arcs_per_page: int = 1
     min_crossings: int = 0
     irreducible: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.min_arcs_per_page is not None and self.min_arcs_per_page < 1:
+        if self.min_arcs_per_page < 1:
             raise ValueError("min_arcs_per_page must be positive")
 
 
@@ -115,21 +116,6 @@ def _component_count(pages: Sequence[tuple[Arc, ...]]) -> int:
     """Number of link components of a valid presentation."""
     ends = list(range(sum(map(len, pages)) + 1))  # n arcs on n points
     return sum(_join(ends, page) for page in pages)
-
-
-def interleaving_table(n: int, page: Sequence[Arc]) -> list[list[int]]:
-    """``table[a][b]``, for 1 <= a < b <= n, is the number of arcs of page
-    that the chord (a, b) interleaves.  Summed over page 3 with page 1 as
-    ``page``, it is the crossing count of the projection (``project``)."""
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for i, j in page:
-        for a in range(1, i):  # a < i < b < j
-            for b in range(i + 1, j):
-                table[a][b] += 1
-        for a in range(i + 1, j):  # i < a < j < b
-            for b in range(j + 1, n + 1):
-                table[a][b] += 1
-    return table
 
 
 def _crossing_count(pages: Sequence[Sequence[Arc]]) -> int:
@@ -223,14 +209,15 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     short arc across its binding segment, or an arc swung about one end.
     Page 3 runs over a list: the entries of its cover that close exactly
     the missing components, kept per pairing of the path ends pages 1 and 2
-    leave, and of those the ones that reach ``min_crossings``, kept per
-    page 1 and pairing.  Each leaf then meets the rest of the split-pair
-    rule (an arc of page 3 on page 1 or 2), the rest of the irreducible
-    rule (an arc of page 1 or 2 merging into page 3, or one of page 3 into
-    page 1 or 2) and the orbit test on the ranks.
+    leave.  Each leaf then meets the rest of the split-pair rule (an arc of
+    page 3 on page 1 or 2), the rest of the irreducible rule (an arc of
+    page 1 or 2 merging into page 3, or one of page 3 into page 1 or 2),
+    the crossing floor (``_crossing_count`` against ``min_crossings``) and
+    the orbit test on the ranks.  The floor runs after the merge masks,
+    which are cheaper and reject most of what it would.
     """
     n = c.n
-    min_page = c.min_arcs_per_page or 1
+    min_page = c.min_arcs_per_page
     floor = c.min_crossings
     split = c.prune_split_pairs
     required = c.required_components
@@ -249,9 +236,6 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
             free, most = ~used1 & (1 << n + 1) - 2, n - len(m1) - min_page
             page2[used1] = [e for e in table
                             if e[4] & free == free and len(e[0]) <= most]
-        if floor:
-            crossings = interleaving_table(n, m1)
-            reach: dict = {}  # key -> the listed page 3s that reach floor
         ends1 = list(range(n + 1))
         _join(ends1, m1)
         for m2, r2, rf2, low2, used2, arcs2, give2, take2 in page2[used1]:
@@ -260,7 +244,7 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
             if split and arcs1 & arcs2 or give1 & take2 or give2 & take1:
                 continue
             give12, take12 = give1 | give2, take1 | take2
-            key = cover = used1 ^ used2
+            cover = used1 ^ used2
             page3 = by_cover[cover]
             if required is not None:
                 ends = ends1[:]
@@ -272,15 +256,12 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
                 if page3 is None:
                     page3 = closing[key] = [p for p in by_cover[cover]
                                             if _join(ends[:], p[0]) == missing]
-            if floor:
-                if key not in reach:
-                    reach[key] = [p for p in page3 if floor <= sum(
-                        crossings[a][b] for a, b in p[0])]
-                page3 = reach[key]
             for m3, r3, rf3, _, _, arcs3, give3, take3 in page3:
                 if split and arcs3 & (arcs1 | arcs2):
                     continue
                 if give12 & take3 or give3 & take12:
+                    continue
+                if floor and _crossing_count((m1, m2, m3)) < floor:
                     continue
                 ranks = (r1, r2, r3)
                 if min(orbit_images(ranks, (rf1, rf2, rf3))) == ranks:

@@ -13,8 +13,8 @@ from threepage.presentation import (InvalidPresentationError, PlacedArc,
 from threepage.search import (SearchConstraints, _component_count,
                               _crossing_count, _page_table, census,
                               crossing_floor, enumerate_presentations,
-                              interleaving_table, noncrossing_matchings,
-                              refute_t33_at_9, three_page_index)
+                              noncrossing_matchings, refute_t33_at_9,
+                              three_page_index)
 from threepage.torus import (HOPF, UNKNOT_TRIANGLE, closure_profile, tnn, tpq,
                              tpq_tight)
 
@@ -167,16 +167,12 @@ def test_component_streams_partition_the_stream_past_the_reference():
 
 
 def test_floor_stream_filters_the_stream_past_the_reference():
-    # the floor cuts a prefix when no page 3 of its cover reaches it; at
-    # n = 8 each floor's stream is the full stream filtered by its
-    # interleaving count, and floors 1 to 6 leave ever fewer of the 140
-    # page 1s of the full stream
+    # the floor drops a leaf whose projection has too few crossings; at
+    # n = 8 each floor's stream is the full stream filtered by the crossing
+    # count of the projection, and floors 1 to 6 leave ever fewer of the
+    # 140 page 1s of the full stream
     full = _all(8)
-    counts = []
-    for pres in full:
-        m1, _, m3 = pres.pages
-        table = interleaving_table(8, m1)
-        counts.append(sum(table[a][b] for a, b in m3))
+    counts = [len(project(pres).crossings) for pres in full]
     page1s = []
     for floor in range(1, 7):
         stream = _all(8, min_crossings=floor)
@@ -325,19 +321,16 @@ def test_irreducible_rule_merges_the_arc_from_1_to_n():
 
 
 def test_interleaving_count_and_floor_against_the_projection():
-    # the enumerator's integer crossing counts, from its table and from the
-    # pages, are the projection's; neither 2 * sum |lk| (the bound
-    # refute_t33_at_9 decides before projecting) nor the floor of a
-    # presentation's own profile ever exceeds it (the floor is what
+    # the crossing count the enumerator's floor and refute_t33_at_9 decide
+    # by, counted on the pages, is the projection's; neither 2 * sum |lk|
+    # (the bound refute_t33_at_9 decides before projecting) nor the floor
+    # of a presentation's own profile ever exceeds it (the floor is what
     # three_page_index skips below, so this is its soundness oracle)
     total = tight = 0
     for n in range(3, 9):
         for pres in enumerate_presentations(SearchConstraints(n)):
-            m1, _, m3 = pres.pages
-            table = interleaving_table(n, m1)
             count = _crossing_count(pres.pages)
             d = project(pres)
-            assert count == sum(table[a][b] for a, b in m3), pres
             assert count == len(d.crossings), pres
             assert 2 * sum(abs_linking_multiset(d)) <= count, pres
             floor = crossing_floor(profile(pres))
@@ -432,16 +425,22 @@ def test_trefoil_absent_through_seven_points():
     assert not res.found
 
 
-@pytest.mark.parametrize("word, strands, profiled", [
-    ("s1 -s2 s1 -s2", 3, 39),
-    ("s1 s1 s1 s1 s1", 2, 19),
-], ids=["figure-eight", "t25"])
-def test_index_exceeds_ten_for_the_figure_eight_and_t25(word, strands, profiled):
-    # an unconditional lower bound: both indices are 11, where CI finds the
-    # witnesses; the merge rules leave only a few dozen candidates to profile
+@pytest.mark.parametrize("word, strands, n_max, printed, profiled", [
+    ("s1 -s2 s1 -s2", 3, 10, "not found for n <= 10", 39),
+    ("s1 s1 s1 s1 s1", 2, 10, "not found for n <= 10", 19),
+    ("s1 -s2 s1 -s2", 3, 11, "index=11 witness: n=11; P1:1-3,5-11,6-9; "
+     "P2:2-11,3-7,4-6,8-10; P3:1-10,2-9,4-8,5-7", 50),
+    ("s1 s1 s1 s1 s1", 2, 11, "index=11 witness: n=11; P1:1-3,5-11,6-10,7-9; "
+     "P2:2-11,3-10,4-9,5-8; P3:1-8,2-7,4-6", 27),
+], ids=["figure-eight", "t25", "figure-eight-11", "t25-11"])
+def test_index_exceeds_ten_for_the_figure_eight_and_t25(
+        word, strands, n_max, printed, profiled):
+    # an unconditional lower bound at 10, and both indices are 11, with the
+    # witnesses the command line prints; the merge rules and the crossing
+    # floor leave only a few dozen candidates to profile
     target = profile(braid_closure_diagram(parse_word(word, strands)))
-    res = three_page_index(target, 10)
-    assert (str(res), res.profiled) == ("not found for n <= 10", profiled)
+    res = three_page_index(target, n_max)
+    assert (str(res), res.profiled) == (printed, profiled)
 
 
 @pytest.mark.parametrize("target, n_max, profiled, reference_profiled", [
@@ -518,8 +517,12 @@ def test_split_pruning_leaves_no_two_arc_component():
     for n in range(3, 9):
         for pres in _all(n, prune_split_pairs=True):
             assert min(map(len, components(pres))) >= 3, pres
-    # the refute-t33 stream: three components of exactly three arcs each
+    # the refute-t33 stream: three components of exactly three arcs each.
+    # refute_t33_at_9 argues that this forces three arcs on every page, so
+    # min_arcs_per_page=3 only speeds it up: the stream is the same without
     refute = _all(9, required_components=3, prune_split_pairs=True,
                   min_arcs_per_page=3)
     assert len(refute) == 500
     assert all(sorted(map(len, components(p))) == [3, 3, 3] for p in refute)
+    assert {tuple(map(len, p.pages)) for p in refute} == {(3, 3, 3)}
+    assert _all(9, required_components=3, prune_split_pairs=True) == refute

@@ -309,7 +309,7 @@ def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     """
     n = c.n
     points = tuple(range(1, n + 1))
-    min_page = c.min_arcs_per_page or 1
+    min_page = c.min_arcs_per_page
     for m1 in reference_matchings(points):
         if not min_page <= len(m1) <= n - 2 * min_page:
             continue
