@@ -22,7 +22,7 @@ search limit before it starts a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -34,41 +34,37 @@ from .torus import closure_profile
 
 @dataclass(frozen=True)
 class SearchConstraints:
-    """Restrictions applied during enumeration.
+    """Restrictions applied during enumeration, keyword-only after ``n``.
 
     ``prune_split_pairs`` discards presentations with a repeated arc (a
     split pair: the same endpoints on two pages, which certify
     splittability), that is, with fewer than n distinct arcs.  Only
-    ``refute_t33_at_9`` sets it, which is sound because T(3,3) is
-    non-split; ``census`` and ``three_page_index`` leave it off.
-    ``min_arcs_per_page`` encodes the bridge-number bound (every page of a
-    presentation of L carries at least br(L) arcs); the default, 1, only
-    keeps every page non-empty.  ``min_crossings`` discards presentations
-    whose projection has fewer crossings, counted as P1/P3 interleavings
-    (``_crossing_count``) before any diagram is built; ``three_page_index``
-    sets it to ``crossing_floor`` of its target, which says why that is
-    sound.  ``irreducible`` discards presentations that merge into one on
-    fewer points.  A two-point merge takes a short arc (two points adjacent
-    on the binding circle, so (1, n) counts too) on a page that holds
-    another arc, whose ends meet two different arcs of one other page.  A
-    one-point merge takes an arc (i, b) on a page Z that holds another arc,
-    where a page Y covers i but not b and (i, b) crosses no arc of Y.
-    Only ``three_page_index`` sets it, and says why that is sound.
-    ``enumerate_presentations`` says where each rule runs.
+    ``refute_t33_at_9`` sets it, which is sound because T(3,3) is non-split;
+    ``census`` and ``three_page_index`` leave it off.  ``min_crossings``
+    discards presentations whose projection has fewer crossings, counted as
+    P1/P3 interleavings (``_crossing_count``) before any diagram is built;
+    ``three_page_index`` sets it to ``crossing_floor`` of its target, which
+    says why that is sound.  ``irreducible`` discards presentations that
+    merge into one on fewer points.  A two-point merge takes a short arc
+    (two points adjacent on the binding circle, so (1, n) counts too) on a
+    page that holds another arc, whose ends meet two different arcs of one
+    other page.  A one-point merge takes an arc (i, b) on a page Z that
+    holds another arc, where a page Y covers i but not b and (i, b) crosses
+    no arc of Y.  Only ``three_page_index`` sets it, and says why that is
+    sound.  ``enumerate_presentations`` says where each rule runs, and which
+    page sizes they leave.
     """
 
     n: int
+    _: KW_ONLY
     required_components: Optional[int] = None
     prune_split_pairs: bool = False
-    min_arcs_per_page: int = 1
     min_crossings: int = 0
     irreducible: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.min_arcs_per_page < 1:
-            raise ValueError("min_arcs_per_page must be positive")
 
 
 #: one shared tuple per arc, filled as ``noncrossing_matchings`` meets it,
@@ -158,7 +154,7 @@ def _clear_chords(n: int, page: Sequence[Arc]) -> int:
 def _page_table(n: int, min_page: int, irreducible: bool) -> list[tuple]:
     """Every non-crossing matching of 1..n with between min_page and
     n - 2 * min_page arcs, in the order ``noncrossing_matchings`` gives:
-    each page of a presentation whose pages hold min_page arcs or more.
+    the pages in the window ``enumerate_presentations`` derives for them.
 
     An entry holds the matching, its rank (its place in tuple order), the
     rank of its point reversal (of the same size, so in the table too), the
@@ -200,27 +196,34 @@ def enumerate_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
     Every candidate is valid by construction: each page is a non-crossing
     matching, page 2 covers every point page 1 leaves free, and page 3 is a
     perfect matching of the points that still meet one arc.  Pages come from
-    ``_page_table``, in order, and are compared by rank.  Page 2 runs over
-    an index, built once per cover of page 1, of the entries that cover the
-    points page 1 leaves free and leave page 3 at least ``min_arcs_per_page``
-    arcs.  A prefix (pages 1 and 2) is cut when the pages share an arc under
-    the split-pair rule, or under the irreducible rule when an arc of page
-    1 merges into page 2 or one of page 2 into page 1, whatever page 3 is: a
-    short arc across its binding segment, or an arc swung about one end.
-    Page 3 runs over a list: the entries of its cover that close exactly
-    the missing components, kept per pairing of the path ends pages 1 and 2
-    leave.  Each leaf then meets the rest of the split-pair rule (an arc of
-    page 3 on page 1 or 2), the rest of the irreducible rule (an arc of
-    page 1 or 2 merging into page 3, or one of page 3 into page 1 or 2),
-    the crossing floor (``_crossing_count`` against ``min_crossings``) and
-    the orbit test on the ranks.  The floor runs after the merge masks,
-    which are cheaper and reject most of what it would.
+    ``_page_table`` (in the window below), in order, and are compared by
+    rank.  Page 2 runs over an index, built once per cover of page 1, of the
+    entries that cover the points page 1 leaves free and leave page 3 at
+    least min_page arcs.  A prefix (pages 1 and 2) is cut when the pages
+    share an arc under the split-pair rule, or under the irreducible rule
+    when an arc of page 1 merges into page 2 or one of page 2 into page 1,
+    whatever page 3 is: a short arc across its binding segment, or an arc
+    swung about one end.  Page 3 runs over a list: the entries of its cover
+    that close exactly the missing components, kept per pairing of the path
+    ends pages 1 and 2 leave.  Each leaf then meets the rest of the
+    split-pair rule (an arc of page 3 on page 1 or 2), the rest of the
+    irreducible rule (an arc of page 1 or 2 merging into page 3, or one of
+    page 3 into page 1 or 2), the crossing floor (``_crossing_count``
+    against ``min_crossings``) and the orbit test on the ranks.  The floor
+    runs after the merge masks, which are cheaper and reject most of what it
+    would.
+
+    Every page holds min_page arcs or more: 1, or max(1, 4k - n) when
+    split pairs are pruned and k components are required.  Then every
+    component has 3 arcs or more (two would be a split pair); if t have
+    exactly 3, n >= 3t + 4(k - t) gives t >= 4k - n, and any two arcs of a
+    3-arc component meet at a point, so lie on different pages: one a page.
     """
     n = c.n
-    min_page = c.min_arcs_per_page
     floor = c.min_crossings
     split = c.prune_split_pairs
     required = c.required_components
+    min_page = max(1, 4 * required - n) if split and required else 1
     table = _page_table(n, min_page, c.irreducible)
     by_cover: dict[int, list] = {}  # page 3 matches the points covered once
     for entry in table:
@@ -418,14 +421,10 @@ def refute_t33_at_9() -> RefutationReport:
 
     The link has three components and is non-split, so a repeated arc (two
     arcs on different pages with the same endpoints) would certify
-    splittability.  A two-arc component is such a repeat, so pruning
-    repeats leaves every component with at least three arcs, hence exactly
-    three at n = 9.  A three-arc component occupies each page once (its
-    page sequence must be adjacent-distinct around a 3-cycle), so all
-    pages hold exactly three arcs; with bridge number 3 that matches the
-    three-arcs-per-page lower bound.  The search space is enumerated under
-    those forced constraints, and every candidate is examined against the
-    closed torus braid.
+    splittability, and the search prunes repeats.  Three components on
+    nine points then force three arcs on every page (the page-size window
+    of ``enumerate_presentations`` says why), and every candidate of that
+    forced space is examined against the closed torus braid.
 
     A candidate is a linking candidate when its |lk| multiset is the
     target's, (1, 1, 1), and only those are profiled.  Components i and j
@@ -444,8 +443,7 @@ def refute_t33_at_9() -> RefutationReport:
     """
     target = closure_profile(3, 3)
     bound = 2 * sum(target.abs_linking)
-    constraints = SearchConstraints(
-        9, required_components=3, prune_split_pairs=True, min_arcs_per_page=3)
+    constraints = SearchConstraints(9, required_components=3, prune_split_pairs=True)
     examined = 0
     linking_candidates = 0
     witnesses: list[ThreePagePresentation] = []

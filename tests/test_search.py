@@ -22,7 +22,8 @@ from util import (canonicalize, insert_kink, merge_one_point, merge_short_arc,
                   naive_noncrossing_matchings, naive_valid_presentations,
                   one_point_merges, reducible, reference_filter,
                   reference_index, reference_matchings,
-                  reference_presentations, short_arc_merges, trivial_profile)
+                  reference_presentations, reference_refute_t33,
+                  short_arc_merges, trivial_profile)
 
 #: canonical presentations on n points, n = 3..9
 GOLDEN_COUNTS = {3: 2, 4: 10, 5: 44, 6: 294, 7: 1964, 8: 14636, 9: 112912}
@@ -38,12 +39,16 @@ def test_no_presentations_below_three_points():
 
 
 def test_constraints_reject_non_positive_sizes():
-    # a page-size bound below one would let a page go empty, and an empty
-    # page is not a valid presentation
-    for kw in ({"n": 0}, {"n": 4, "min_arcs_per_page": 0},
-               {"n": 4, "min_arcs_per_page": -1}):
-        with pytest.raises(ValueError):
-            SearchConstraints(**kw)
+    with pytest.raises(ValueError):
+        SearchConstraints(0)
+
+
+def test_constraints_take_options_by_keyword_only():
+    # a positional option would shift onto the next field when one is
+    # removed, so only n is positional
+    with pytest.raises(TypeError):
+        SearchConstraints(9, 3)
+    assert SearchConstraints(n=9, required_components=3).required_components == 3
 
 
 def test_three_points_gives_only_unknot_triangles():
@@ -116,14 +121,18 @@ def test_golden_canonical_counts(n):
 
 def test_stream_equals_reference_over_constraint_grid():
     # the expensive part of the reference (validate + is_canonical on every
-    # triple) depends only on n and the page-level constraints, so it runs
-    # once per such combination; the component and crossing filters are
-    # applied per case, in emission order
-    for n, split, min_page in itertools.product(range(3, 8), (False, True), (1, 2)):
-        base = list(reference_presentations(SearchConstraints(
-            n, prune_split_pairs=split, min_arcs_per_page=min_page)))
+    # triple) depends only on n and the split-pair rule, so it runs once per
+    # such pair; the component and crossing filters are applied per case,
+    # in emission order.  The reference has no page-size window, so this
+    # checks the one the enumerator derives with split pairs pruned: 2 at
+    # n = 6 for two components, and an empty table at n = 4 and 5 for two
+    # and at n <= 7 for three
+    for n, split in itertools.product(range(3, 8), (False, True)):
+        base = list(reference_presentations(
+            SearchConstraints(n, prune_split_pairs=split)))
         for required, floor in itertools.product((None, 1, 2, 3), (0, 2, 3)):
-            c = SearchConstraints(n, required, split, min_page, floor)
+            c = SearchConstraints(n, required_components=required,
+                                  prune_split_pairs=split, min_crossings=floor)
             fast = list(enumerate_presentations(c))
             assert fast == [p for p in base if reference_filter(p, c)], c
             for pres in fast:
@@ -135,7 +144,7 @@ def test_stream_equals_reference_over_constraint_grid():
      "3348d2683680b4dc404a6bfbd8df77e9e70013b17ba19ac4310dbeae82b59ec5"),
     (SearchConstraints(9), 112912,
      "697987255bade1b2da9d5a1cf473ffa805230123de9c332f66a7bf4ccb612a1e"),
-    (SearchConstraints(9, 3, True, 3), 500,
+    (SearchConstraints(9, required_components=3, prune_split_pairs=True), 500,
      "be789717b4f570b885325e4a112b069430efcab5bf92947c0f222e9792989487"),
     (SearchConstraints(9, required_components=1, min_crossings=4), 1212,
      "683888ed24ac9760d7692ebcb458130face666d9cc48533125f965e33a92c3c4"),
@@ -186,15 +195,17 @@ def test_floor_stream_filters_the_stream_past_the_reference():
 def test_irreducible_stream_filters_the_stream(n):
     # the rule runs at the prefix and at the leaf; the oracle tests each
     # short arc, and each arc at each of its ends, on its own.  Its prefix
-    # cut composes with the page-2 index (the page-size window) and the
-    # split-pair masks, so both run with it too
+    # cut composes with the page-2 index (the page-size window, 2 at n = 6
+    # for two components and 3 at n = 9 for three) and the split-pair
+    # masks, so both run with it too.  Every stream is a subsequence of the
+    # full one, so the oracle runs once per presentation of that
+    irreducible = {pres: not reducible(n, pres.pages) for pres in _all(n)}
     for kw in ({}, {"required_components": 1, "min_crossings": 3},
                {"required_components": 2}, {"prune_split_pairs": True},
-               {"min_arcs_per_page": 2},
-               {"prune_split_pairs": True, "min_arcs_per_page": 2,
-                "required_components": 1, "min_crossings": 3}):
-        full = _all(n, **kw)
-        want = [pres for pres in full if not reducible(n, pres.pages)]
+               {"prune_split_pairs": True, "required_components": 3},
+               {"prune_split_pairs": True, "required_components": 2,
+                "min_crossings": 2}):
+        want = [pres for pres in _all(n, **kw) if irreducible[pres]]
         assert _all(n, irreducible=True, **kw) == want, kw
 
 
@@ -344,8 +355,7 @@ def test_refute_t33_decides_every_candidate_before_projecting(monkeypatch):
     # T(3,3) has |lk| = (1, 1, 1), so a linking candidate needs 6 crossings;
     # the refutation stream has at most 2, so no candidate is projected and
     # the report is still the whole forced space with no linking candidate
-    stream = _all(9, required_components=3, prune_split_pairs=True,
-                  min_arcs_per_page=3)
+    stream = _all(9, required_components=3, prune_split_pairs=True)
     counts = [_crossing_count(pres.pages) for pres in stream]
     assert {c: counts.count(c) for c in set(counts)} == {0: 444, 2: 56}
     calls = []
@@ -387,8 +397,7 @@ def test_component_count_matches_the_walk():
     # canonical presentation for n = 3..8 and on the refute-t33 stream
     streams = [_all(n) for n in range(3, 9)]
     assert sum(map(len, streams)) == 16950
-    streams.append(_all(9, required_components=3, prune_split_pairs=True,
-                        min_arcs_per_page=3))
+    streams.append(_all(9, required_components=3, prune_split_pairs=True))
     assert len(streams[-1]) == 500
     for stream in streams:
         for pres in stream:
@@ -517,12 +526,37 @@ def test_split_pruning_leaves_no_two_arc_component():
     for n in range(3, 9):
         for pres in _all(n, prune_split_pairs=True):
             assert min(map(len, components(pres))) >= 3, pres
-    # the refute-t33 stream: three components of exactly three arcs each.
-    # refute_t33_at_9 argues that this forces three arcs on every page, so
-    # min_arcs_per_page=3 only speeds it up: the stream is the same without
-    refute = _all(9, required_components=3, prune_split_pairs=True,
-                  min_arcs_per_page=3)
+    # the refute-t33 stream: three components of exactly three arcs each,
+    # and the paper's forced space, found without the split-pair masks or
+    # the page-size window; none of it is T(3,3), even up to mirror
+    refute = _all(9, required_components=3, prune_split_pairs=True)
     assert len(refute) == 500
     assert all(sorted(map(len, components(p))) == [3, 3, 3] for p in refute)
     assert {tuple(map(len, p.pages)) for p in refute} == {(3, 3, 3)}
-    assert _all(9, required_components=3, prune_split_pairs=True) == refute
+    assert reference_refute_t33() == refute
+    target = closure_profile(3, 3)
+    assert not any(equal_up_to_mirror(profile(p), target) for p in refute)
+
+
+def test_enumerator_derives_the_page_size_window(monkeypatch):
+    # the window is max(1, 4k - n) with split pairs pruned and k components
+    # required, else 1; the refutation, census and index search each ask
+    # the page table for theirs
+    asked = []
+
+    def table(n, min_page, irreducible):
+        asked.append((n, min_page))
+        return _page_table(n, min_page, irreducible)
+
+    monkeypatch.setattr(search, "_page_table", table)
+    for kw in ({"required_components": 3, "prune_split_pairs": True},
+               {"required_components": 2, "prune_split_pairs": True}):
+        for n in (6, 9):
+            _all(n, **kw)
+    assert asked == [(6, 6), (9, 3), (6, 2), (9, 1)]
+    asked.clear()
+    refute_t33_at_9()
+    census(6)
+    three_page_index(profile(HOPF), 6)
+    _all(9, required_components=3)
+    assert asked == [(9, 3), (6, 1)] + [(n, 1) for n in range(3, 7)] + [(9, 1)]

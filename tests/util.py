@@ -8,8 +8,9 @@ contraction on plain {exponent: coeff} dicts in an order recounted at every
 step, enumeration counts from a naive generate-and-filter pass, the order
 of the matchings from a plain recursive generator, the enumeration stream
 from a reference pass that validates and canonicalizes every candidate,
-index searches from a loop that profiles every candidate without the
-crossing floor, the irreducible rule from a test of each short arc and of
+the refutation's forced space from the split-pair detector on the plain
+three-component stream, index searches from a loop that profiles every
+candidate without the crossing floor, the irreducible rule from a test of each short arc and of
 each arc at each of its ends, and braid equality from the action on a free
 group.
 
@@ -36,7 +37,8 @@ from threepage.invariants import (DEFAULT_CROSSING_LIMIT, CrossingLimitError,
                                   equal_up_to_mirror, profile)
 from threepage.laurent import LOOP, LaurentPoly, writhe_unit
 from threepage.presentation import (Arc, PlacedArc, Step, ThreePagePresentation,
-                                    arcs_interleave, components, is_canonical,
+                                    arcs_interleave, components,
+                                    detect_split_pair, is_canonical,
                                     symmetry_orbit, validate)
 from threepage.search import SearchConstraints, enumerate_presentations
 
@@ -163,6 +165,16 @@ def reference_filter(pres: ThreePagePresentation, c: SearchConstraints) -> bool:
     return ((c.required_components is None
              or len(components(pres)) == c.required_components)
             and project(pres).crossing_count() >= c.min_crossings)
+
+
+def reference_refute_t33() -> list[ThreePagePresentation]:
+    """The forced space of the T(3,3) refutation at nine points, as the
+    paper argues it: the canonical 3-component presentations with no split
+    pair, found by detect_split_pair on the plain stream, without the
+    enumerator's split-pair masks or page-size window."""
+    return [pres for pres in enumerate_presentations(
+                SearchConstraints(9, required_components=3))
+            if detect_split_pair(pres) is None]
 
 
 def reference_index(target: InvariantProfile, n_max: int
@@ -301,23 +313,19 @@ def merge_short_arc(p: ThreePagePresentation, placed: PlacedArc) -> ThreePagePre
 def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentation]:
     """The enumeration stream by generate-then-filter, in library order.
 
-    Each page runs over all non-crossing matchings of its points; page 2
-    is kept only if pages 1 and 2 cover every point, and page 3 only if it
-    is a perfect matching of the points they cover once.  Every triple is
-    built as an object and kept only if validate, is_canonical and
-    reference_filter accept it.
+    Each page runs over all non-crossing matchings of its points, of any
+    size; page 2 is kept only if pages 1 and 2 cover every point, and page
+    3 only if it is a perfect matching of the points they cover once.
+    Every triple is built as an object and kept only if validate,
+    is_canonical and reference_filter accept it, so the page-size window
+    the enumerator derives is checked, not shared.
     """
     n = c.n
     points = tuple(range(1, n + 1))
-    min_page = c.min_arcs_per_page
     for m1 in reference_matchings(points):
-        if not min_page <= len(m1) <= n - 2 * min_page:
-            continue
         used1 = {pt for a in m1 for pt in a}
         for m2 in reference_matchings(points):
             if used1 | {pt for a in m2 for pt in a} != set(points):
-                continue
-            if not min_page <= len(m2) <= n - len(m1) - min_page:
                 continue
             if c.prune_split_pairs and set(m1) & set(m2):
                 continue
@@ -329,7 +337,7 @@ def reference_presentations(c: SearchConstraints) -> Iterator[ThreePagePresentat
             if not deficit or len(m1) + len(m2) + len(deficit) // 2 != n:
                 continue
             for m3 in reference_matchings(deficit):
-                if 2 * len(m3) != len(deficit) or len(m3) < min_page:
+                if 2 * len(m3) != len(deficit):
                     continue
                 if c.prune_split_pairs and (set(m3) & set(m1) or set(m3) & set(m2)):
                     continue
