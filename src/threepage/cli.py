@@ -89,35 +89,35 @@ def _output(path: str) -> Iterator[TextIO]:
 
 
 def _read_presentations(path: str,
-                        ) -> list[ThreePagePresentation | InvalidPresentationError]:
-    """Each input line as a presentation, or as the error rejecting it as
-    invalid; a malformed line anywhere is a usage error."""
-    lines = [ln for ln in _read_text(path).splitlines() if ln.strip()]
-    if not lines:
+                        ) -> list[tuple[int, ThreePagePresentation | InvalidPresentationError]]:
+    """Each non-blank input line's number in the file and presentation, or
+    the error rejecting it as invalid; a malformed line is a usage error."""
+    out = []
+    for k, ln in enumerate(_read_text(path).split("\n"), start=1):
+        if ln.strip():
+            try:
+                out.append((k, parse(ln)))
+            except InvalidPresentationError as exc:
+                out.append((k, exc))
+            except ParseError as exc:
+                raise CliError(f"parse error on line {k}: {exc}", USAGE_ERROR) from exc
+    if not out:
         raise CliError("no presentations in input", USAGE_ERROR)
-    out: list[ThreePagePresentation | InvalidPresentationError] = []
-    for ln in lines:
-        try:
-            out.append(parse(ln))
-        except InvalidPresentationError as exc:
-            out.append(exc)
-        except ParseError as exc:
-            raise CliError(f"parse error: {exc}", USAGE_ERROR) from exc
     return out
 
 
 def _read_one(path: str) -> ThreePagePresentation:
     """The first presentation of the input; every line must be valid."""
     items = _read_presentations(path)
-    for item in items:
+    for _, item in items:
         if isinstance(item, InvalidPresentationError):
             raise item
-    return items[0]
+    return items[0][1]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     failures = 0
-    for k, item in enumerate(_read_presentations(args.input), start=1):
+    for k, item in _read_presentations(args.input):
         if isinstance(item, InvalidPresentationError):
             failures += 1
             print(f"line {k}: INVALID")

@@ -13,8 +13,7 @@ bare integer for exponent 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,17 +86,18 @@ def in_t_variable(poly: LaurentPoly) -> str:
     """Render a writhe-normalised bracket polynomial in the Jones variable t.
 
     The substitution is t = A^-4, so an A-exponent e becomes the t-exponent
-    e / -4.  For links with an even number of components half-integer
+    -e/4.  For links with an even number of components half-integer
     exponents occur; every exponent is provably even, which is asserted, and
     halves are printed as ``t^-5/2``.
     """
     for e, _ in poly.terms:
         if e % 2 != 0:
             raise ValueError(f"odd exponent {e} cannot arise in a normalised bracket")
-    return _format_terms([(Fraction(e, -4), c) for e, c in reversed(poly.terms)], "t")
+    return _format_terms([(-e // 4 if e % 4 == 0 else f"{-e // 2}/2", c)
+                          for e, c in reversed(poly.terms)], "t")
 
 
-def _format_terms(terms: Iterable[tuple[Union[int, Fraction], int]], var: str) -> str:
+def _format_terms(terms: Iterable[tuple[int | str, int]], var: str) -> str:
     """Signed sum of (exponent, coefficient) terms in the printed order: the
     variable alone for exponent 1, a bare coefficient for exponent 0."""
     parts: list[str] = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .presentation import Arc, ThreePagePresentation, arcs_interleave
 
@@ -40,11 +39,12 @@ def render(p: ThreePagePresentation, spec: RenderSpec = RenderSpec()) -> str:
     return render_ascii(p, spec)
 
 
-def crossing_position(under: Arc, over: Arc) -> Fraction:
-    """Exact x-coordinate where the two upper semicircles intersect."""
-    m1, r1 = Fraction(under[0] + under[1], 2), Fraction(under[1] - under[0], 2)
-    m2, r2 = Fraction(over[0] + over[1], 2), Fraction(over[1] - over[0], 2)
-    return (r1 * r1 - r2 * r2 + m2 * m2 - m1 * m1) / (2 * (m2 - m1))
+def crossing_position(under: Arc, over: Arc) -> float:
+    """x where the upper semicircles on interleaving arcs (a, b) and (c, d)
+    meet: subtracting (x - a)(x - b) + y^2 = 0 from (x - c)(x - d) + y^2 = 0
+    leaves (c + d - a - b) x = cd - ab, and the midpoints differ."""
+    (a, b), (c, d) = under, over
+    return (c * d - a * b) / (c + d - a - b)
 
 
 def _fmt(x: float) -> str:
@@ -92,7 +92,7 @@ def render_svg(p: ThreePagePresentation, spec: RenderSpec = RenderSpec()) -> str
             if page == 0:
                 for over in over_arcs:
                     if arcs_interleave((i, j), over):
-                        x = float(crossing_position((i, j), over)) * s
+                        x = crossing_position((i, j), over) * s
                         cuts.append(math.acos(max(-1.0, min(1.0, (x - cx) / r))))
             spans = sorted(cuts)
             angles = [math.pi]

@@ -144,19 +144,37 @@ def test_single_input_command_rejects_a_later_invalid_line(monkeypatch):
                          stdin_text=f"{INTERLEAVED}\nn=3; P1:1-9; P2:2-3; P3:1-3\n",
                          monkeypatch=monkeypatch)
     assert code == 2 and out == ""
-    assert err.startswith("error: parse error: ")
+    assert err.startswith("error: parse error on line 2: ")
 
 
 def test_malformed_input_is_usage_error(monkeypatch):
     code, _, err = run(["validate", "-"], stdin_text="n=3; P1:1-9; P2:2-3; P3:1-3\n",
                        monkeypatch=monkeypatch)
     assert code == 2
-    assert "parse error" in err
+    assert err.startswith("error: parse error on line 1: ")
     # a malformed line after valid and invalid ones: nothing is printed
     text = f"{HOPF.serialize()}\n{INTERLEAVED}\nn=3; P1:1-9; P2:2-3; P3:1-3\n"
     code, out, err = run(["validate", "-"], stdin_text=text, monkeypatch=monkeypatch)
     assert code == 2 and out == ""
-    assert "parse error" in err
+    assert err.startswith("error: parse error on line 3: ")
+
+
+def test_validate_numbers_lines_as_the_file_does(monkeypatch):
+    # blank lines are skipped but counted
+    text = f"{HOPF.serialize()}\n\n{INTERLEAVED}\n"
+    code, out, err = run(["validate", "-"], stdin_text=text, monkeypatch=monkeypatch)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == "line 1: ok"
+    assert out.splitlines()[1] == "line 3: INVALID"
+    text = f"\n  \n{HOPF.serialize()}\n\t\n\n{HOPF.serialize()}\n\n"
+    code, out, err = run(["validate", "-"], stdin_text=text, monkeypatch=monkeypatch)
+    assert (code, out, err) == (0, "line 3: ok\nline 6: ok\n", "")
+    text = f"{HOPF.serialize()}\n\n\nn=3; P1:1-9; P2:2-3; P3:1-3\n"
+    code, out, err = run(["validate", "-"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse error on line 4: ")
+    code, out, err = run(["validate", "-"], stdin_text="\n \n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: no presentations in input\n")
 
 
 @pytest.mark.parametrize("n, arc, message", [
@@ -169,7 +187,7 @@ def test_malformed_json_is_usage_error(monkeypatch, n, arc, message):
     text = f'{{"n": {n}, "pages": [[{arc}], [[2,3]], [[1,3]]]}}'
     code, out, err = run(["validate", "-"], stdin_text=text, monkeypatch=monkeypatch)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: parse error: {message}")
+    assert err.startswith(f"error: parse error on line 1: {message}")
 
 
 @pytest.mark.parametrize("text", [
@@ -180,7 +198,7 @@ def test_point_count_beyond_twice_the_arcs_is_usage_error(monkeypatch, text):
     # one by one
     code, out, err = run(["validate", "-"], stdin_text=text, monkeypatch=monkeypatch)
     assert code == 2 and out == ""
-    assert err == ("error: parse error: n=300000 exceeds twice the arc count 3, "
+    assert err == ("error: parse error on line 1: n=300000 exceeds twice the arc count 3, "
                    "so some point meets no arc\n")
 
 

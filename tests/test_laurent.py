@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from threepage.laurent import LOOP, ONE, LaurentPoly, in_t_variable, writhe_unit
+from fractions import Fraction
 
-from util import ZERO
+from threepage.laurent import LOOP, ONE, LaurentPoly, in_t_variable, writhe_unit
+from threepage.search import census
+
+from util import ZERO, reference_t_variable
 
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-5, 5), max_size=6).map(
     LaurentPoly.from_dict)
@@ -55,6 +58,25 @@ def test_t_variable_knot_and_link():
     assert in_t_variable(ZERO) == "0"
     with pytest.raises(ValueError):
         in_t_variable(LaurentPoly.from_dict({3: 1}))
+
+
+def test_t_variable_matches_the_fraction_printer_on_the_census():
+    # every Jones polynomial of the canonical census up to eight points
+    jones = set()
+    for n in range(3, 9):
+        for entry in census(n):
+            jones |= entry.profile.jones
+    for poly in jones:
+        assert in_t_variable(poly) == reference_t_variable(poly), poly
+    exponents = {Fraction(e, -4) for poly in jones for e, _ in poly.terms}
+    assert exponents >= {0, 1, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                         Fraction(-3, 2)}
+
+
+@given(st.dictionaries(st.integers(-12, 12).map(lambda e: 2 * e),
+                       st.integers(-5, 5), max_size=6).map(LaurentPoly.from_dict))
+def test_t_variable_matches_the_fraction_printer(poly):
+    assert in_t_variable(poly) == reference_t_variable(poly)
 
 
 @given(polys, polys, polys)

@@ -2,8 +2,13 @@ from pathlib import Path
 
 import pytest
 
-from threepage.render import RenderSpec, render, render_ascii, render_svg
+from threepage.presentation import arcs_interleave
+from threepage.render import (RenderSpec, crossing_position, render,
+                              render_ascii, render_svg)
+from threepage.search import SearchConstraints, enumerate_presentations
 from threepage.torus import tnn
+
+from util import reference_crossing_position
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,3 +56,18 @@ def test_labels_toggle(hopf):
     with_labels = render_svg(hopf, RenderSpec(labels=True))
     without = render_svg(hopf, RenderSpec(labels=False))
     assert "<text" in with_labels and "<text" not in without
+
+
+def test_crossing_position_is_the_rounded_exact_intersection():
+    # every interleaving P1/P3 pair of every canonical presentation on up
+    # to eight points
+    checked = 0
+    for n in range(3, 9):
+        for pres in enumerate_presentations(SearchConstraints(n)):
+            for u in pres.pages[0]:
+                for v in pres.pages[2]:
+                    if arcs_interleave(u, v):
+                        assert crossing_position(u, v) == float(
+                            reference_crossing_position(u, v)), (pres, u, v)
+                        checked += 1
+    assert checked > 10000

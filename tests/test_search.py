@@ -1,8 +1,11 @@
 import hashlib
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
+import threepage
 from threepage.braids import parse_word
 from threepage import search
 from threepage.diagram import abs_linking_multiset, braid_closure_diagram, project
@@ -510,6 +513,22 @@ def test_census_profiles_monotone_under_kink_insertion():
         bigger = insert_kink(pres, next(iter(pres.placed_arcs())))
         assert canonicalize(bigger).sort_key() in witnesses5
         assert profile(bigger) == entry.profile
+
+
+def test_no_module_keeps_a_mutable_container():
+    # nothing is kept across calls: no module of the package holds a dict,
+    # list or set that a call could fill, except the arc intern table,
+    # which keeps retained witnesses from pinning arcs of their own (an
+    # index-search benchmark run that keeps every outcome reads about 10%
+    # more peak memory without it)
+    modules = [threepage] + [importlib.import_module(f"threepage.{m.name}")
+                             for m in pkgutil.iter_modules(threepage.__path__)]
+    assert len(modules) == 10
+    held = [(mod.__name__, name) for mod in modules
+            for name, value in vars(mod).items()
+            if not (name.startswith("__") and name.endswith("__"))
+            and isinstance(value, (dict, list, set))]
+    assert held == [("threepage.search", "_ARCS")]
 
 
 def test_engine_reads_no_search_limit(monkeypatch):

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's fast paths so that test
 expectations are computed along a different path than the code under test:
-crossing signs come from semicircle calculus, the bracket from a sum over
+crossing signs come from semicircle calculus, crossing positions and
+t-exponents from ``Fraction`` arithmetic, the bracket from a sum over
 all 2^c smoothing states and, beyond its reach, from the frontier
 contraction on plain {exponent: coeff} dicts in an order recounted at every
 step, enumeration counts from a naive generate-and-filter pass, the order
@@ -70,6 +71,30 @@ def geometric_signed_crossings(p: ThreePagePresentation,
             sign = directions[under] * directions[over] * centre_sign
             out.append((sign, comp_of_arc[(0, under)], comp_of_arc[(2, over)]))
     return out
+
+
+def reference_crossing_position(under: Arc, over: Arc) -> Fraction:
+    """Exact x-coordinate where the upper semicircles on two interleaving
+    arcs meet, from their midpoints m and radii r: the chord of two circles
+    lies at (r1^2 - r2^2 + m2^2 - m1^2) / (2 (m2 - m1))."""
+    m1, r1 = Fraction(under[0] + under[1], 2), Fraction(under[1] - under[0], 2)
+    m2, r2 = Fraction(over[0] + over[1], 2), Fraction(over[1] - over[0], 2)
+    return (r1 * r1 - r2 * r2 + m2 * m2 - m1 * m1) / (2 * (m2 - m1))
+
+
+def reference_t_variable(poly: LaurentPoly) -> str:
+    """The polynomial in t = A^-4, each exponent a ``Fraction`` printed by
+    ``str``, terms by descending exponent, with ``t`` for exponent 1 and a
+    bare coefficient for exponent 0."""
+    out = ""
+    for e, c in sorted(((Fraction(e, -4), c) for e, c in poly.terms), reverse=True):
+        power = "" if e == 0 else "t" if e == 1 else f"t^{e}"
+        body = power if abs(c) == 1 and power else f"{abs(c)}{power}"
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = body if c > 0 else f"-{body}"
+    return out or "0"
 
 
 def geometric_writhe_and_linking(p: ThreePagePresentation,
